@@ -1,15 +1,17 @@
 // BENCH-SPARSE — multithreaded sparse kernels + FV assembly caching.
 //
 // Sweeps FV grid sizes (8^3 -> 64^3) and thread counts, timing the hot
-// kernels the Picard/transient loops sit on: SpMV, preconditioned CG, the
-// one-time structure assembly vs the per-pass boundary rewrite, and the full
-// steady FV solve. Emits BENCH_sparse_kernels.json (machine-readable) so
+// kernels the Picard/transient loops sit on: SpMV, Jacobi- and
+// multigrid-preconditioned CG, the one-time structure assembly vs the
+// per-pass boundary rewrite (self times of their spans), and the full steady
+// FV solve. Full runs emit BENCH_sparse_kernels.json (machine-readable) so
 // later PRs can track the perf trajectory, plus the usual table on stdout.
 //
 // Headline numbers: 64^3 steady-solve speedup at 4 threads vs 1 thread, and
 // the assembly time removed per Picard pass by structure caching.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -18,8 +20,10 @@
 #include <vector>
 
 #include "materials/solid.hpp"
+#include "numeric/multigrid.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/sparse.hpp"
+#include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "thermal/fv.hpp"
 
@@ -89,10 +93,9 @@ struct ThreadTiming {
   double cg_ms = 0.0;
   std::size_t cg_iterations = 0;
   double steady_ms = 0.0;
-  // Chebyshev(3)-preconditioned CG on the same system; measured for grids
-  // >= 32^3, where the iteration cut pays for the extra SpMVs.
-  double cheby_cg_ms = 0.0;
-  std::size_t cheby_cg_iterations = 0;
+  // Multigrid-preconditioned CG on the same system.
+  double mg_cg_ms = 0.0;
+  std::size_t mg_cg_iterations = 0;
 };
 
 struct GridResult {
@@ -100,10 +103,38 @@ struct GridResult {
   std::size_t cells = 0;
   std::size_t nonzeros = 0;
   double triplet_assembly_ms = 0.0;  ///< legacy path: builder + sort per pass
-  double structure_build_ms = 0.0;   ///< cached path: one-time symbolic build
-  double boundary_update_ms = 0.0;   ///< cached path: per-pass rewrite
+  double structure_build_ms = 0.0;   ///< fv.assemble_structure self time per call
+  double boundary_update_ms = 0.0;   ///< fv.update_boundary self time per call
   std::vector<ThreadTiming> timings;
 };
+
+/// Accumulated self time (span time minus direct child spans) and calls of
+/// every span named `name` in the current registry's tree.
+struct SpanTotals {
+  double self_s = 0.0;
+  std::uint64_t calls = 0;
+  double ms_per_call_since(const SpanTotals& before) const {
+    const std::uint64_t n = calls - before.calls;
+    return n > 0 ? 1e3 * (self_s - before.self_s) / static_cast<double>(n) : 0.0;
+  }
+};
+
+SpanTotals span_totals(const std::string& name) {
+  const std::vector<obs::TimerEntry> timers = obs::current().timers();
+  SpanTotals out;
+  for (std::size_t e = 0; e < timers.size(); ++e) {
+    const obs::TimerEntry& t = timers[e];
+    const std::size_t slash = t.path.rfind('/');
+    if (t.path.compare(slash == std::string::npos ? 0 : slash + 1, std::string::npos, name) != 0)
+      continue;
+    double self = t.seconds;
+    for (std::size_t c = e + 1; c < timers.size() && timers[c].depth > t.depth; ++c)
+      if (timers[c].depth == t.depth + 1) self -= timers[c].seconds;
+    out.self_s += self;
+    out.calls += t.calls;
+  }
+  return out;
+}
 
 /// Rebuild-from-triplets cost the old Picard loop paid on every pass.
 double legacy_assembly_ms(const an::CsrMatrix& pattern, int reps) {
@@ -148,8 +179,8 @@ void write_json(const std::string& path, std::size_t hardware,
       const ThreadTiming& tt = r.timings[t];
       out << "        {\"threads\": " << tt.threads << ", \"spmv_ms\": " << tt.spmv_ms
           << ", \"cg_ms\": " << tt.cg_ms << ", \"cg_iterations\": " << tt.cg_iterations
-          << ", \"cheby_cg_ms\": " << tt.cheby_cg_ms
-          << ", \"cheby_cg_iterations\": " << tt.cheby_cg_iterations
+          << ", \"mg_cg_ms\": " << tt.mg_cg_ms
+          << ", \"mg_cg_iterations\": " << tt.mg_cg_iterations
           << ", \"steady_ms\": " << tt.steady_ms
           << ", \"steady_speedup_vs_1\": "
           << (tt.steady_ms > 0.0 ? r.timings.front().steady_ms / tt.steady_ms : 0.0) << "}"
@@ -166,6 +197,8 @@ void write_json(const std::string& path, std::size_t hardware,
 int main(int argc, char** argv) try {
   // --smoke: smallest grid + fixed {1,2} thread sweep, the configuration the
   // CI bench-smoke job freezes counter expectations for (bench/expected/).
+  // Smoke runs write no BENCH_* file: the committed trajectory holds full
+  // runs only.
   // --scaling: 32^3 only, threads {1, 2} — the cheap configuration the CI
   // speedup-floor gate (tools/check_report.py --speedups) runs against;
   // writes BENCH_sparse_scaling.json.
@@ -275,13 +308,10 @@ int main(int argc, char** argv) try {
         an::IterativeResult cg;
         tt.cg_ms = time_ms(reps, [&] { cg = an::conjugate_gradient(a, rhs); });
         tt.cg_iterations = cg.iterations;
-        if (n >= 32) {
-          an::IterativeOptions copts;
-          copts.chebyshev_degree = 3;
-          an::IterativeResult ccg;
-          tt.cheby_cg_ms = time_ms(reps, [&] { ccg = an::conjugate_gradient(a, rhs, copts); });
-          tt.cheby_cg_iterations = ccg.iterations;
-        }
+        an::Multigrid mg(an::multigrid_levels(n, n, n));
+        an::IterativeResult mcg;
+        tt.mg_cg_ms = time_ms(reps, [&] { mcg = an::conjugate_gradient(a, rhs, {}, nullptr, &mg); });
+        tt.mg_cg_iterations = mcg.iterations;
         tt.steady_ms = time_ms(reps, [&] {
           const auto sol = model.solve_steady(opts);
           (void)sol;
@@ -290,29 +320,29 @@ int main(int argc, char** argv) try {
       }
     }
 
-    // Cached-assembly costs, measured through a transient micro-march: the
-    // first step pays the structure build, subsequent steps only the
-    // boundary rewrite. Separate them by comparing 2-step and 12-step runs.
+    // Cached-assembly costs from the span tree: over 12-step transient
+    // micro-marches, the self times of the one-time structure build and of
+    // the per-step boundary rewrite (the warm CG solve is a separate span).
     an::set_thread_count(1);
     {
-      const double t2 = time_ms(reps, [&] {
-        const auto tr = model.solve_transient(2.0, 1.0, 300.0, opts);
-        (void)tr;
-      });
-      const double t12 = time_ms(reps, [&] {
+      const bool armed = obs::enabled();
+      obs::enable();
+      const SpanTotals update0 = span_totals("fv.update_boundary");
+      const SpanTotals build0 = span_totals("fv.assemble_structure");
+      for (int r = 0; r < reps; ++r) {
         const auto tr = model.solve_transient(12.0, 1.0, 300.0, opts);
         (void)tr;
-      });
-      // 10 extra steps of (boundary rewrite + warm CG); the per-step cost
-      // bounds the boundary update from above.
-      res.boundary_update_ms = std::max(0.0, (t12 - t2) / 10.0);
-      res.structure_build_ms = std::max(0.0, t2 - 2.0 * res.boundary_update_ms);
+      }
+      res.boundary_update_ms = span_totals("fv.update_boundary").ms_per_call_since(update0);
+      res.structure_build_ms = span_totals("fv.assemble_structure").ms_per_call_since(build0);
+      if (!armed) obs::disable();
     }
 
     results.push_back(res);
     std::printf("  n=%2zu^3 (%7zu cells, %8zu nnz): triplet rebuild %8.3f ms/pass, "
-                "cached boundary rewrite+step %8.3f ms\n",
-                n, res.cells, res.nonzeros, res.triplet_assembly_ms, res.boundary_update_ms);
+                "structure build %8.3f ms, boundary rewrite %8.3f ms\n",
+                n, res.cells, res.nonzeros, res.triplet_assembly_ms, res.structure_build_ms,
+                res.boundary_update_ms);
   }
   an::set_thread_count(0);
 
@@ -336,19 +366,17 @@ int main(int argc, char** argv) try {
               " Picard pass on 64^3\n\n",
               big.triplet_assembly_ms);
 
-  // Chebyshev headline (printed whenever a grid measured it).
   for (const GridResult& r : results) {
-    if (r.timings.empty() || r.timings.front().cheby_cg_iterations == 0) continue;
     const ThreadTiming& tt = r.timings.front();
-    std::printf("  cheby(3) CG on %zu^3: %zu -> %zu iterations (%.0f%% cut), %.3f -> %.3f ms\n",
-                r.n, tt.cg_iterations, tt.cheby_cg_iterations,
-                100.0 * (1.0 - static_cast<double>(tt.cheby_cg_iterations) /
-                                   static_cast<double>(tt.cg_iterations)),
-                tt.cg_ms, tt.cheby_cg_ms);
+    std::printf("  multigrid CG on %zu^3: %zu -> %zu iterations, %.3f -> %.3f ms (1 thread)\n",
+                r.n, tt.cg_iterations, tt.mg_cg_iterations, tt.cg_ms, tt.mg_cg_ms);
   }
 
-  write_json(scaling ? "BENCH_sparse_scaling.json" : "BENCH_sparse_kernels.json", hardware,
-             thread_counts, dispatch_ns, results);
+  if (smoke)
+    std::printf("  smoke mode: no BENCH_* file written\n");
+  else
+    write_json(scaling ? "BENCH_sparse_scaling.json" : "BENCH_sparse_kernels.json", hardware,
+               thread_counts, dispatch_ns, results);
 
   if (!report_path.empty()) {
     obs::Report report = obs::Report::capture("bench_sparse_kernels", an::thread_count());

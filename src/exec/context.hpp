@@ -40,11 +40,6 @@ struct ExecutionConfig {
   /// Arm the context's registry from birth (per-context telemetry does not
   /// read AEROPACK_TELEMETRY — that variable governs the process default).
   bool telemetry = false;
-  /// Chebyshev degree for CG preconditioning in solvers pinned to this
-  /// context (numeric::IterativeOptions::chebyshev_degree): solvers that
-  /// leave their own degree at 0 inherit this one. 0 (default) keeps plain
-  /// Jacobi everywhere — the setting existing goldens were recorded under.
-  std::size_t cg_chebyshev_degree = 0;
   /// Optional shared artifact cache (non-owning; must outlive the context).
   /// Solver graphs that run under core::ScenarioService probe it for
   /// reusable immutable artifacts — FV assemblies, modal factorizations,
@@ -72,8 +67,7 @@ class ExecutionContext {
   const obs::Registry& metrics() const { return *registry_; }
   std::size_t threads() const { return pool_->threads(); }
   /// The configuration this context was built from (process() reports the
-  /// defaults). Solvers pinned to the context read tuning knobs — currently
-  /// cg_chebyshev_degree — from here.
+  /// defaults).
   const ExecutionConfig& config() const { return config_; }
   /// The shared artifact cache this context may consult, or nullptr when the
   /// run is uncached (direct solves, the ScenarioRunner compatibility path).

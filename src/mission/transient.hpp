@@ -97,9 +97,8 @@ MissionSolution run_fv_mission(const thermal::FvModel& model, const Profile& pro
                                std::shared_ptr<const thermal::FvAssembly> assembly = nullptr);
 
 /// Same march pinned to an ExecutionContext: kernels on the context's pool,
-/// telemetry in its registry, CG Chebyshev degree inherited from the
-/// context config. Bit-identical to the unpinned overload at any thread
-/// count.
+/// telemetry in its registry. Bit-identical to the unpinned overload at any
+/// thread count.
 MissionSolution run_fv_mission(ExecutionContext& ctx, const thermal::FvModel& model,
                                const Profile& profile, double t_initial,
                                const AdaptiveOptions& adaptive = {},

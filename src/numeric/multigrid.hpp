@@ -1,0 +1,97 @@
+// Geometric multigrid preconditioner for 7-point operators on structured
+// nx × ny × nz grids — the conduction operator of thermal::FvModel.
+//
+// Hierarchy: every level aggregates 2×2×2 cells of the level above (an odd
+// axis ends in a one-cell-thick aggregate). Coarsening continues while every
+// axis of the current level has at least 8 cells, so a 64³ grid runs
+// 64³ → 32³ → 16³ → 8³ → 4³. A grid with a shorter axis, or whose coarsest
+// level would exceed 512 cells (the dense solve below), gets no hierarchy
+// and its CG keeps the Jacobi preconditioner.
+//
+// Coarse operators: the Galerkin product P^T A P of piecewise-constant
+// aggregation, with the face couplings halved at every level. A 2×2×2
+// aggregate face sums four fine faces of twice the distance, so on a
+// homogeneous grid the halved Galerkin couplings equal a re-discretisation
+// at 2h — but, unlike re-discretisation, the sum sees heterogeneous
+// conductivity and contact interfaces exactly. The row-sum excess of each
+// aggregate (boundary films, capacity/dt) is carried over unscaled, so the
+// coarse operator stays SPD and conserves the fine operator's sinks.
+// Everything is a structured stencil: the fine level reads the caller's CSR
+// rows in their 7-point column order, coarse levels store four doubles per
+// cell (diagonal plus +x/+y/+z couplings). No triplet assembly, no index map.
+//
+// Cycle: a symmetric V-cycle. Two red-black Gauss-Seidel sweeps (red =
+// even i + j + k first, then black) pre-smooth, the residual is restricted
+// by summing each aggregate's children, the coarse correction is prolonged
+// by injection, and two sweeps in the reverse colour order (black then red)
+// post-smooth.
+// The coarsest level is solved exactly by a dense Cholesky factorization.
+// The post-smoother is the adjoint of the pre-smoother, so the cycle is a
+// symmetric preconditioner fit for CG.
+//
+// Determinism: a red (black) sweep reads only black (red) cells, restriction
+// and prolongation are gathers with a fixed child order, and the coarsest
+// solve is serial — every value is independent of the thread partition, so
+// results are bit-identical across thread counts and pools.
+#pragma once
+
+#include <cstddef>
+#include <optional>
+#include <vector>
+
+#include "numeric/dense.hpp"
+#include "numeric/solve_dense.hpp"
+#include "numeric/sparse.hpp"
+
+namespace aeropack::numeric {
+
+class ThreadPool;
+
+/// Cell counts of one structured level; cells are numbered i-fastest,
+/// index = i + nx * (j + ny * k).
+struct GridShape {
+  std::size_t nx = 0, ny = 0, nz = 0;
+  std::size_t cells() const { return nx * ny * nz; }
+};
+
+/// Level shapes of the multigrid hierarchy of an nx × ny × nz grid, fine
+/// level first. Empty when the grid cannot coarsen (some axis below 8
+/// cells) or its coarsest level exceeds 512 cells.
+std::vector<GridShape> multigrid_levels(std::size_t nx, std::size_t ny, std::size_t nz);
+
+/// Per-solve multigrid state over a fixed hierarchy: the coarse operators,
+/// their work vectors and the coarsest factorization. setup() refreshes the
+/// coarse operators from the current fine matrix; apply() runs one V-cycle.
+/// Mutable scratch — one instance per concurrent solve.
+class Multigrid {
+ public:
+  /// `levels` must come from multigrid_levels() and be non-empty.
+  explicit Multigrid(std::vector<GridShape> levels);
+
+  /// Number of levels including the fine one (>= 2).
+  std::size_t depth() const { return coarse_.size() + 1; }
+
+  /// Recompute every coarse operator from `a`, which must be the 7-point
+  /// matrix of the fine level: rows in cell order, columns ascending (the
+  /// layout FvModel assembles). O(nnz). `a` must outlive the apply() calls
+  /// that follow.
+  void setup(ThreadPool& pool, const CsrMatrix& a);
+
+  /// z = one V-cycle applied to r (z is resized; r must not alias z).
+  void apply(ThreadPool& pool, const Vector& r, Vector& z);
+
+ private:
+  struct Level {
+    GridShape shape;
+    Vector diag, wx, wy, wz;  ///< diagonal and couplings to the +x/+y/+z neighbour
+    Vector x, b;              ///< V-cycle iterate and right-hand side
+  };
+  void cycle(ThreadPool& pool, std::size_t level);
+
+  GridShape fine_;
+  const CsrMatrix* fine_matrix_ = nullptr;
+  std::vector<Level> coarse_;
+  std::optional<CholeskyFactorization> coarsest_;
+};
+
+}  // namespace aeropack::numeric

@@ -4,10 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
-#include "numeric/cheby.hpp"
+#include "numeric/multigrid.hpp"
 #include "numeric/parallel.hpp"
 #include "obs/registry.hpp"
 
@@ -197,7 +196,7 @@ void hadamard(const Vector& a, const Vector& b, Vector& out) {
 }
 
 IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
-                        const IterativeOptions& opts, const Vector* x0) {
+                        const IterativeOptions& opts, const Vector* x0, Multigrid* mg) {
   if (a.rows() != a.cols() || b.size() != a.rows())
     throw std::invalid_argument("conjugate_gradient: shape mismatch");
   if (x0 && x0->size() != b.size())
@@ -226,34 +225,18 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
   } else {
     r = b;  // r = b - A*0
   }
-  // Optional Chebyshev acceleration (opts.chebyshev_degree >= 2): estimate
-  // the Jacobi-operator spectrum once, fall back to plain Jacobi when the
-  // estimate is unusable. Off by default — the Jacobi path below is
-  // bit-identical to the historical unfused kernels, so goldens and counter
-  // expectations hold.
-  ChebyshevJacobi* cheby = nullptr;
-  std::optional<ChebyshevJacobi> cheby_storage;
-  if (opts.chebyshev_degree >= 2) {
-    const SpectralBounds bounds = estimate_jacobi_spectrum(pool, a, inv_d);
-    if (bounds.usable()) {
-      cheby_storage.emplace(a, inv_d, bounds, opts.chebyshev_degree);
-      cheby = &*cheby_storage;
-      static thread_local obs::CounterHandle cg_cheby{"numeric.cg.cheby_solves"};
-      cg_cheby.add();
-    }
-  }
-  // jac = D^-1 r: the Jacobi path uses it as the preconditioned residual z
-  // directly; the Chebyshev path feeds it to the polynomial. The fused CG
-  // update below keeps it current for free.
-  Vector jac(n);
-  Vector z;
+  // z = D^-1 r on the Jacobi path, which the fused CG update keeps current
+  // for free (bit-identical to the historical unfused kernels); the
+  // multigrid path overwrites it with a V-cycle applied to r.
+  Vector z(n);
   double rz;
-  if (cheby != nullptr) {
-    hadamard(pool, inv_d, r, jac);
-    cheby->apply(pool, r, jac, z);
+  if (mg != nullptr) {
+    mg->setup(pool, a);
+    static thread_local obs::CounterHandle cg_mg{"numeric.cg.mg_solves"};
+    cg_mg.add();
+    mg->apply(pool, r, z);
     rz = parallel_dot(pool, r, z);
   } else {
-    z.resize(n);
     rz = fused_hadamard_dot(pool, inv_d, r, z);
   }
   Vector p = z;
@@ -267,8 +250,7 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
     // x and r, refreshes D^-1 r, and returns <r,r> and <r, D^-1 r> through
     // the same fixed-chunk in-order reduction the separate kernels used —
     // iterates and residuals are bit-identical to the unfused loop.
-    Vector& zj = cheby != nullptr ? jac : z;
-    const CgFused f = cg_fused_update(pool, alpha, p, ap, inv_d, res.x, r, zj);
+    const CgFused f = cg_fused_update(pool, alpha, p, ap, inv_d, res.x, r, z);
     res.iterations = it + 1;
     res.residual = std::sqrt(f.rr) / bnorm;
     if (res.residual < opts.tolerance) {
@@ -276,8 +258,8 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
       return res;
     }
     double rz_new = f.rz;
-    if (cheby != nullptr) {
-      cheby->apply(pool, r, jac, z);
+    if (mg != nullptr) {
+      mg->apply(pool, r, z);
       rz_new = parallel_dot(pool, r, z);
     }
     const double beta = rz_new / rz;
@@ -292,17 +274,19 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
 }  // namespace
 
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts, const Vector* x0) {
-  return conjugate_gradient(current_pool(), a, b, opts, x0);
+                                   const IterativeOptions& opts, const Vector* x0,
+                                   Multigrid* mg) {
+  return conjugate_gradient(current_pool(), a, b, opts, x0, mg);
 }
 
 IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts, const Vector* x0) {
+                                   const IterativeOptions& opts, const Vector* x0,
+                                   Multigrid* mg) {
   static thread_local obs::CounterHandle cg_solves{"numeric.cg.solves"};
   static thread_local obs::CounterHandle cg_iters{"numeric.cg.iterations"};
   static thread_local obs::CounterHandle cg_warm{"numeric.cg.warmstart_hits"};
   obs::ScopedTimer span("numeric.cg");
-  const IterativeResult res = cg_impl(pool, a, b, opts, x0);
+  const IterativeResult res = cg_impl(pool, a, b, opts, x0, mg);
   cg_solves.add();
   cg_iters.add(res.iterations);
   // A warm start good enough that CG never iterated (covers the trivial

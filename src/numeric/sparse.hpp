@@ -99,28 +99,28 @@ struct IterativeResult {
 struct IterativeOptions {
   std::size_t max_iterations = 10000;
   double tolerance = 1e-10;  ///< relative residual target
-  /// Chebyshev polynomial degree for the CG preconditioner (numeric/cheby.hpp):
-  /// 0 or 1 keeps plain Jacobi (the default — existing goldens and counter
-  /// expectations assume it); >= 2 spends degree-1 extra SpMVs per iteration
-  /// to cut the iteration count on large grids. Falls back to Jacobi when the
-  /// spectral-bound estimate degenerates.
-  std::size_t chebyshev_degree = 0;
 };
 
-/// Preconditioned (Jacobi) conjugate gradient for SPD systems.
+class Multigrid;
+
+/// Preconditioned conjugate gradient for SPD systems.
 ///
-/// `x0` (optional) warm-starts the iteration; the Picard/transient loops of
-/// the FV thermal solver pass the previous pass/step solution, cutting the
-/// inner iteration count sharply. SpMV and all reductions run on the
-/// parallel layer with deterministic chunked partial sums, so the returned
-/// solution is bit-identical across thread counts — and across pools. The
-/// pool-less overload runs on the calling thread's current pool.
+/// The preconditioner is Jacobi, or — when `mg` is given — one geometric
+/// multigrid V-cycle per iteration (numeric/multigrid.hpp); `mg` is set up
+/// from `a` at the start of the solve, so the caller passes the hierarchy
+/// of the structured grid `a` lives on and nothing else. `x0` (optional)
+/// warm-starts the iteration; the Picard/transient loops of the FV thermal
+/// solver pass the previous pass/step solution, cutting the inner iteration
+/// count sharply. SpMV, the V-cycle and all reductions run on the parallel
+/// layer with partition-independent arithmetic, so the returned solution is
+/// bit-identical across thread counts — and across pools. The pool-less
+/// overload runs on the calling thread's current pool.
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr);
+                                   const Vector* x0 = nullptr, Multigrid* mg = nullptr);
 IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr);
+                                   const Vector* x0 = nullptr, Multigrid* mg = nullptr);
 
 /// BiCGSTAB for general nonsymmetric systems (Jacobi preconditioned).
 IterativeResult bicgstab(const CsrMatrix& a, const Vector& b, const IterativeOptions& opts = {});

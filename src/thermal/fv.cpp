@@ -351,7 +351,7 @@ std::size_t FvAssembly::cost_bytes() const {
          matrix.values().size() * (sizeof(double) + sizeof(std::size_t)) +
          matrix.row_ptr().size() * sizeof(std::size_t) +
          base_values.size() * sizeof(double) + diag_index.size() * sizeof(std::size_t) +
-         capacity.size() * sizeof(double);
+         capacity.size() * sizeof(double) + mg_levels.size() * sizeof(numeric::GridShape);
 }
 
 std::uint64_t FvModel::structural_hash(const FvOptions& opts, double inv_dt) const {
@@ -471,6 +471,7 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
 
   cache->matrix = numeric::CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
                                      std::vector<double>(cache->base_values));
+  cache->mg_levels = numeric::multigrid_levels(nx, ny, nz);
   return cache;
 }
 
@@ -491,6 +492,15 @@ FvModel::Workspace FvModel::make_workspace(std::shared_ptr<const FvAssembly> ass
   ws.base_rhs = build_base_rhs();
   ws.assembly = std::move(assembly);
   return ws;
+}
+
+numeric::IterativeResult FvModel::Workspace::solve(const Vector& rhs,
+                                                   const numeric::IterativeOptions& opts,
+                                                   const Vector* x0) {
+  static thread_local obs::GaugeHandle mg_levels{"fv.mg_levels"};
+  if (!mg && !assembly->mg_levels.empty()) mg.emplace(assembly->mg_levels);
+  if (obs::enabled()) mg_levels.set(mg ? static_cast<double>(mg->depth()) : 0.0);
+  return numeric::conjugate_gradient(matrix, rhs, opts, x0, mg ? &*mg : nullptr);
 }
 
 void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
@@ -588,7 +598,7 @@ std::size_t FvTransientStepper::step(Vector& temps, double t_next, double dt,
   static thread_local obs::CounterHandle transient_steps{"fv.transient_steps"};
   static thread_local obs::CounterHandle warmstart_hits{"fv.warmstart_hits"};
   model_->update_driven_terms(ws_, temps, temps, capacity_, 1.0 / dt, t_next, drive, rhs_);
-  const auto lin = numeric::conjugate_gradient(ws_.matrix, rhs_, opts_.linear, &temps);
+  const auto lin = ws_.solve(rhs_, opts_.linear, &temps);
   if (!lin.converged)
     throw std::runtime_error("FvTransientStepper::step: linear solver failed");
   transient_steps.add();
@@ -718,7 +728,7 @@ FvSolution FvModel::solve_steady_impl(const FvOptions& opts,
   const std::size_t passes = nonlinear ? opts.max_picard_iterations : 1;
   for (std::size_t it = 0; it < passes; ++it) {
     update_boundary_terms(ws, temps, nullptr, rhs);
-    const auto lin = numeric::conjugate_gradient(ws.matrix, rhs, opts.linear, &temps);
+    const auto lin = ws.solve(rhs, opts.linear, &temps);
     if (!lin.converged)
       throw std::runtime_error("FvModel::solve_steady: linear solver failed to converge");
     picard_passes.add();
@@ -762,28 +772,16 @@ FvSolution FvModel::solve_steady(const std::shared_ptr<const FvAssembly>& assemb
   return solve_steady_impl(opts, assembly);
 }
 
-namespace {
-
-// Context-pinned solves inherit the context's Chebyshev degree unless the
-// caller set one explicitly on the linear options.
-FvOptions with_context_tuning(const ExecutionContext& ctx, FvOptions opts) {
-  if (opts.linear.chebyshev_degree == 0)
-    opts.linear.chebyshev_degree = ctx.config().cg_chebyshev_degree;
-  return opts;
-}
-
-}  // namespace
-
 FvSolution FvModel::solve_steady(ExecutionContext& ctx, const FvOptions& opts) const {
   const ExecutionContext::Use use(ctx);
-  return solve_steady(with_context_tuning(ctx, opts));
+  return solve_steady(opts);
 }
 
 FvSolution FvModel::solve_steady(ExecutionContext& ctx,
                                  const std::shared_ptr<const FvAssembly>& assembly,
                                  const FvOptions& opts) const {
   const ExecutionContext::Use use(ctx);
-  return solve_steady(assembly, with_context_tuning(ctx, opts));
+  return solve_steady(assembly, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt, double t_initial,
@@ -794,14 +792,14 @@ FvTransientSolution FvModel::solve_transient(double t_end, double dt, double t_i
 FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
                                              double t_initial, const FvOptions& opts) const {
   const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, t_initial, with_context_tuning(ctx, opts));
+  return solve_transient(t_end, dt, t_initial, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
                                              const Vector& initial_temperatures,
                                              const FvOptions& opts) const {
   const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, initial_temperatures, with_context_tuning(ctx, opts));
+  return solve_transient(t_end, dt, initial_temperatures, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt,
@@ -835,7 +833,7 @@ FvTransientSolution FvModel::solve_transient(double t_end, double dt,
     std::size_t state_size() const { return rhs.size(); }
     std::size_t step(Vector& temps, double /*t_next*/, double /*dt*/) {
       model->update_boundary_terms(ws, temps, &temps, rhs);
-      const auto lin = numeric::conjugate_gradient(ws.matrix, rhs, opts->linear, &temps);
+      const auto lin = ws.solve(rhs, opts->linear, &temps);
       if (!lin.converged)
         throw std::runtime_error("FvModel::solve_transient: linear solver failed");
       steps->add();
@@ -888,7 +886,7 @@ FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end
                                              const FvDrive& drive, const FvOptions& opts,
                                              std::shared_ptr<const FvAssembly> assembly) const {
   const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, initial_temperatures, drive, with_context_tuning(ctx, opts),
+  return solve_transient(t_end, dt, initial_temperatures, drive, opts,
                          std::move(assembly));
 }
 

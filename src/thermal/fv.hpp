@@ -9,7 +9,9 @@
 // Grid: tensor-product cells, per-cell anisotropic conductivity, volumetric
 // sources. Face conductances use the harmonic mean of cell conductivities
 // (option: arithmetic, kept for the ablation bench). Steady solves assemble
-// an SPD system solved by preconditioned CG; transient uses implicit Euler.
+// an SPD system solved by preconditioned CG — multigrid-preconditioned where
+// the grid coarsens (every axis >= 8 cells), Jacobi otherwise; transient
+// uses implicit Euler.
 //
 // All temperatures are absolute [K].
 #pragma once
@@ -24,6 +26,7 @@
 
 #include "materials/solid.hpp"
 #include "numeric/dense.hpp"
+#include "numeric/multigrid.hpp"
 #include "numeric/sparse.hpp"
 #include "thermal/convection.hpp"
 
@@ -184,6 +187,11 @@ struct FvAssembly {
   numeric::Vector capacity;             ///< rho*cp*V/dt per cell (transient only)
   double inv_dt = 0.0;                  ///< 0 for steady assemblies
   std::uint64_t structural_hash = 0;    ///< FvModel::structural_hash at build time
+  /// Multigrid level shapes of the grid (numeric::multigrid_levels), empty
+  /// when the grid cannot coarsen and CG runs Jacobi-preconditioned. The
+  /// coarse operators are per-solve values, refreshed from each
+  /// workspace's matrix; only this geometry is shared.
+  std::vector<numeric::GridShape> mg_levels;
   /// Approximate resident size, for cost-aware cache eviction.
   std::size_t cost_bytes() const;
 };
@@ -335,6 +343,15 @@ class FvModel {
     std::shared_ptr<const FvAssembly> assembly;
     numeric::CsrMatrix matrix;   ///< working copy: base values + boundary films
     numeric::Vector base_rhs;    ///< sources + prescribed-flux terms [W]
+    /// Multigrid preconditioner over assembly->mg_levels, built on first
+    /// solve (absent on grids that cannot coarsen).
+    std::optional<numeric::Multigrid> mg;
+
+    /// CG on the workspace operator, multigrid-preconditioned when the grid
+    /// coarsens. Sets the "fv.mg_levels" gauge (0 on the Jacobi path).
+    numeric::IterativeResult solve(const numeric::Vector& rhs,
+                                   const numeric::IterativeOptions& opts,
+                                   const numeric::Vector* x0);
   };
 
   Workspace make_workspace(std::shared_ptr<const FvAssembly> assembly) const;

@@ -59,17 +59,17 @@ TEST(ExecutionContext, DefaultConfigIsSerialAndDormant) {
 }
 
 TEST(ExecutionContext, ConfigIsRetainedForSolverTuning) {
-  // Solvers read tuning knobs (cg_chebyshev_degree) back off the context, so
-  // the owning context must keep its construction config verbatim.
+  // Solver graphs read the artifact cache back off the context, so the
+  // owning context must keep its construction config verbatim.
   ExecutionConfig cfg;
   cfg.threads = 2;
-  cfg.cg_chebyshev_degree = 4;
+  cfg.telemetry = true;
   ExecutionContext ctx(cfg);
-  EXPECT_EQ(ctx.config().cg_chebyshev_degree, 4u);
   EXPECT_EQ(ctx.config().threads, 2u);
-  // The process-wrapping context carries the defaults (degree 0 = plain
-  // Jacobi), so ambient solves keep their golden behavior.
-  EXPECT_EQ(ExecutionContext::process().config().cg_chebyshev_degree, 0u);
+  EXPECT_TRUE(ctx.config().telemetry);
+  EXPECT_EQ(ctx.artifact_cache(), nullptr);
+  // The process-wrapping context carries the defaults.
+  EXPECT_EQ(ExecutionContext::process().config().threads, ExecutionConfig{}.threads);
 }
 
 TEST(ExecutionContext, ProcessContextWrapsTheSingletons) {

@@ -1,6 +1,7 @@
 // Two-phase working fluid saturation tables.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "materials/fluids.hpp"
@@ -48,6 +49,12 @@ TEST(Fluids, GasConstantFromMolarMass) {
   EXPECT_NEAR(am::water().saturation(323.15).gas_constant(), 461.5, 1.0);
   EXPECT_NEAR(am::ammonia().saturation(273.15).gas_constant(), 488.2, 1.0);
 }
+
+namespace aeropack::materials {
+// Print a fluid parameter by name, not by address, so the value-parameterised
+// case names that CTest derives from it are the same in every build and run.
+void PrintTo(const WorkingFluid* f, std::ostream* os) { *os << f->name(); }
+}  // namespace aeropack::materials
 
 // Property: thermodynamic monotonicity along each saturation curve.
 class FluidMonotonicity : public ::testing::TestWithParam<const am::WorkingFluid*> {};
