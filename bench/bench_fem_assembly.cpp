@@ -3,8 +3,8 @@
 // Sweeps the Fig. 2 power-supply board across mesh refinements and thread
 // counts, timing the CSR assembly (DofMap + triplet scatter + build), the
 // dense Jacobi generalized eigensolve, and the sparse shift-invert subspace
-// iteration. Emits BENCH_fem_assembly.json (machine-readable) so later PRs
-// can track the perf trajectory, plus the usual table on stdout.
+// iteration. Full runs emit BENCH_fem_assembly.json (machine-readable) so
+// later PRs can track the perf trajectory, plus the usual table on stdout.
 //
 // Headline numbers: the dense-vs-sparse crossover mesh, and the finest-mesh
 // speedup of the shift-invert path over the dense eigensolve.
@@ -146,6 +146,8 @@ void write_json(const std::string& path, std::size_t hardware, std::size_t n_mod
 int main(int argc, char** argv) try {
   // --smoke: coarsest mesh + fixed {1,2} thread sweep, the configuration the
   // CI bench-smoke job freezes counter expectations for (bench/expected/).
+  // Smoke runs write no BENCH_* file: the committed trajectory holds full
+  // runs only.
   // --report <out.json>: enable telemetry and write the obs run report.
   bool smoke = false;
   std::string report_path;
@@ -262,7 +264,11 @@ int main(int argc, char** argv) try {
               big.nx, big.ny, big.free_dofs,
               best_sparse > 0.0 ? big.dense_modal_ms / best_sparse : 0.0);
 
-  write_json("BENCH_fem_assembly.json", hardware, n_modes, thread_counts, dispatch_ns, results);
+  if (smoke)
+    std::printf("  smoke mode: no BENCH_* file written\n");
+  else
+    write_json("BENCH_fem_assembly.json", hardware, n_modes, thread_counts, dispatch_ns,
+               results);
 
   if (!report_path.empty()) {
     obs::Report report = obs::Report::capture("bench_fem_assembly", an::thread_count());

@@ -11,7 +11,8 @@
 // faster than the cached full-order solve — is enforced: the bench exits
 // nonzero below it, so CI keeps the reduction honest.
 //
-// --smoke runs a reduced repetition count for the CI bench-smoke job; the
+// --smoke runs a reduced repetition count for the CI bench-smoke job and
+// writes no BENCH_* file (full runs write BENCH_rom.json); the
 // deterministic rom.* / fv.* counters land in the --report JSON and are
 // gated against bench/expected/bench_rom.expected.json. The wall-clock
 // counter rom.snapshot_build.elapsed_us is deliberately excluded from the
@@ -159,7 +160,10 @@ int main(int argc, char** argv) try {
                 p.name.c_str(), p.cells, p.rank, p.build_s, p.fv_us, p.rom_us, p.speedup,
                 p.port_temp_diff);
 
-  write_json("BENCH_rom.json", points);
+  if (smoke)
+    std::printf("  smoke mode: no BENCH_* file written\n");
+  else
+    write_json("BENCH_rom.json", points);
 
   if (!report_path.empty()) {
     obs::Report report = obs::Report::capture("bench_rom", an::thread_count());

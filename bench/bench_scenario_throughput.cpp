@@ -11,8 +11,10 @@
 // come back deterministic and identical at every worker count.
 //
 // --smoke freezes a reduced batch at workers {1, 2} for the CI bench-smoke
-// job; the per-scenario counters land in the obs report under
-// "<scenario>.<counter>" keys and are gated against bench/expected/.
+// job and writes no BENCH_* file (full runs write
+// BENCH_scenario_throughput.json); the per-scenario counters land in the obs
+// report under "<scenario>.<counter>" keys and are gated against
+// bench/expected/.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -380,7 +382,10 @@ int main(int argc, char** argv) try {
               reference.size(), best.scenarios_per_sec, best.workers,
               best.seconds > 0.0 ? sweep.front().seconds / best.seconds : 0.0);
 
-  write_json("BENCH_scenario_throughput.json", hardware, reference.size(), sweep);
+  if (smoke)
+    std::printf("  smoke mode: no BENCH_* file written\n");
+  else
+    write_json("BENCH_scenario_throughput.json", hardware, reference.size(), sweep);
 
   // ---- campaign section: ScenarioService + artifact cache ---------------
   //

@@ -16,9 +16,9 @@
 // conductivity and contact interfaces exactly. The row-sum excess of each
 // aggregate (boundary films, capacity/dt) is carried over unscaled, so the
 // coarse operator stays SPD and conserves the fine operator's sinks.
-// Everything is a structured stencil: the fine level reads the caller's CSR
-// rows in their 7-point column order, coarse levels store four doubles per
-// cell (diagonal plus +x/+y/+z couplings). No triplet assembly, no index map.
+// Every level is a numeric::Stencil (four doubles per cell: diagonal plus
+// +x/+y/+z couplings); the fine level is the caller's stencil, read through
+// a view. No triplet assembly, no index map.
 //
 // Cycle: a symmetric V-cycle. Two red-black Gauss-Seidel sweeps (red =
 // even i + j + k first, then black) pre-smooth, the residual is restricted
@@ -41,18 +41,11 @@
 
 #include "numeric/dense.hpp"
 #include "numeric/solve_dense.hpp"
-#include "numeric/sparse.hpp"
+#include "numeric/stencil.hpp"
 
 namespace aeropack::numeric {
 
 class ThreadPool;
-
-/// Cell counts of one structured level; cells are numbered i-fastest,
-/// index = i + nx * (j + ny * k).
-struct GridShape {
-  std::size_t nx = 0, ny = 0, nz = 0;
-  std::size_t cells() const { return nx * ny * nz; }
-};
 
 /// Level shapes of the multigrid hierarchy of an nx × ny × nz grid, fine
 /// level first. Empty when the grid cannot coarsen (some axis below 8
@@ -61,7 +54,8 @@ std::vector<GridShape> multigrid_levels(std::size_t nx, std::size_t ny, std::siz
 
 /// Per-solve multigrid state over a fixed hierarchy: the coarse operators,
 /// their work vectors and the coarsest factorization. setup() refreshes the
-/// coarse operators from the current fine matrix; apply() runs one V-cycle.
+/// coarse operators from the current fine operator; apply() runs one
+/// V-cycle.
 /// Mutable scratch — one instance per concurrent solve.
 class Multigrid {
  public:
@@ -71,25 +65,23 @@ class Multigrid {
   /// Number of levels including the fine one (>= 2).
   std::size_t depth() const { return coarse_.size() + 1; }
 
-  /// Recompute every coarse operator from `a`, which must be the 7-point
-  /// matrix of the fine level: rows in cell order, columns ascending (the
-  /// layout FvModel assembles). O(nnz). `a` must outlive the apply() calls
-  /// that follow.
-  void setup(ThreadPool& pool, const CsrMatrix& a);
+  /// Recompute every coarse operator from `a`, which must live on the fine
+  /// level's grid (std::invalid_argument otherwise). O(cells). The arrays
+  /// `a` points to must outlive the apply() calls that follow.
+  void setup(ThreadPool& pool, const StencilView& a);
 
   /// z = one V-cycle applied to r (z is resized; r must not alias z).
   void apply(ThreadPool& pool, const Vector& r, Vector& z);
 
  private:
   struct Level {
-    GridShape shape;
-    Vector diag, wx, wy, wz;  ///< diagonal and couplings to the +x/+y/+z neighbour
-    Vector x, b;              ///< V-cycle iterate and right-hand side
+    Stencil op;
+    Vector x, b;  ///< V-cycle iterate and right-hand side
   };
   void cycle(ThreadPool& pool, std::size_t level);
 
   GridShape fine_;
-  const CsrMatrix* fine_matrix_ = nullptr;
+  StencilView fine_op_;  ///< set by setup()
   std::vector<Level> coarse_;
   std::optional<CholeskyFactorization> coarsest_;
 };

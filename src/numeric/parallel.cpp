@@ -16,7 +16,7 @@
 namespace aeropack::numeric {
 
 namespace detail {
-thread_local ThreadPool* t_pool = nullptr;
+constinit thread_local ThreadPool* t_pool = nullptr;
 }  // namespace detail
 
 ThreadPool* exchange_current_pool(ThreadPool* p) {

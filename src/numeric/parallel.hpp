@@ -45,7 +45,10 @@ class ThreadPool;
 namespace detail {
 /// Pool bound to this thread by ExecutionContext::Use; null means the
 /// process-wide default. Not touched directly — see current_pool() below.
-extern thread_local ThreadPool* t_pool;
+/// constinit: other translation units then know it needs no dynamic
+/// initialisation and read it directly, not through the thread_local
+/// wrapper call that -fsanitize=undefined reports as a null-pointer load.
+extern constinit thread_local ThreadPool* t_pool;
 }  // namespace detail
 
 /// Number of threads parallel kernels on this thread will use (>= 1): the

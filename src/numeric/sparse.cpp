@@ -5,9 +5,11 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "numeric/multigrid.hpp"
 #include "numeric/parallel.hpp"
+#include "numeric/stencil.hpp"
 #include "obs/registry.hpp"
 
 namespace aeropack::numeric {
@@ -179,7 +181,8 @@ CsrMatrix add_scaled(const CsrMatrix& a, double alpha, const CsrMatrix& b) {
 
 namespace {
 
-Vector jacobi_preconditioner(const CsrMatrix& a) {
+template <typename Op>
+Vector jacobi_preconditioner(const Op& a) {
   Vector inv_d = a.diagonal();
   for (double& v : inv_d) v = (v != 0.0) ? 1.0 / v : 1.0;
   return inv_d;
@@ -195,7 +198,10 @@ void hadamard(const Vector& a, const Vector& b, Vector& out) {
   hadamard(current_pool(), a, b, out);
 }
 
-IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
+/// The CG iteration, written once for both operator types. `mg` is only
+/// ever non-null for a stencil: the hierarchy is built on its grid.
+template <typename Op>
+IterativeResult cg_impl(ThreadPool& pool, const Op& a, const Vector& b,
                         const IterativeOptions& opts, const Vector* x0, Multigrid* mg) {
   if (a.rows() != a.cols() || b.size() != a.rows())
     throw std::invalid_argument("conjugate_gradient: shape mismatch");
@@ -231,7 +237,7 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
   Vector z(n);
   double rz;
   if (mg != nullptr) {
-    mg->setup(pool, a);
+    if constexpr (std::is_same_v<Op, StencilView>) mg->setup(pool, a);
     static thread_local obs::CounterHandle cg_mg{"numeric.cg.mg_solves"};
     cg_mg.add();
     mg->apply(pool, r, z);
@@ -271,17 +277,9 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
   return res;
 }
 
-}  // namespace
-
-IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts, const Vector* x0,
-                                   Multigrid* mg) {
-  return conjugate_gradient(current_pool(), a, b, opts, x0, mg);
-}
-
-IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts, const Vector* x0,
-                                   Multigrid* mg) {
+template <typename Op>
+IterativeResult counted_cg(ThreadPool& pool, const Op& a, const Vector& b,
+                           const IterativeOptions& opts, const Vector* x0, Multigrid* mg) {
   static thread_local obs::CounterHandle cg_solves{"numeric.cg.solves"};
   static thread_local obs::CounterHandle cg_iters{"numeric.cg.iterations"};
   static thread_local obs::CounterHandle cg_warm{"numeric.cg.warmstart_hits"};
@@ -299,6 +297,30 @@ IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const V
     cg_last_iters.set(static_cast<double>(res.iterations));
   }
   return res;
+}
+
+}  // namespace
+
+IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
+                                   const IterativeOptions& opts, const Vector* x0) {
+  return counted_cg(current_pool(), a, b, opts, x0, nullptr);
+}
+
+IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
+                                   const IterativeOptions& opts, const Vector* x0) {
+  return counted_cg(pool, a, b, opts, x0, nullptr);
+}
+
+IterativeResult conjugate_gradient(const StencilView& a, const Vector& b,
+                                   const IterativeOptions& opts, const Vector* x0,
+                                   Multigrid* mg) {
+  return counted_cg(current_pool(), a, b, opts, x0, mg);
+}
+
+IterativeResult conjugate_gradient(ThreadPool& pool, const StencilView& a, const Vector& b,
+                                   const IterativeOptions& opts, const Vector* x0,
+                                   Multigrid* mg) {
+  return counted_cg(pool, a, b, opts, x0, mg);
 }
 
 IterativeResult bicgstab(const CsrMatrix& a, const Vector& b, const IterativeOptions& opts) {

@@ -102,23 +102,33 @@ struct IterativeOptions {
 };
 
 class Multigrid;
+struct StencilView;
 
 /// Preconditioned conjugate gradient for SPD systems.
 ///
-/// The preconditioner is Jacobi, or — when `mg` is given — one geometric
+/// The operator is a general CSR matrix or a structured 7-point stencil
+/// (numeric/stencil.hpp); both run one shared iteration. The preconditioner
+/// is Jacobi, or — on a stencil, when `mg` is given — one geometric
 /// multigrid V-cycle per iteration (numeric/multigrid.hpp); `mg` is set up
 /// from `a` at the start of the solve, so the caller passes the hierarchy
-/// of the structured grid `a` lives on and nothing else. `x0` (optional)
-/// warm-starts the iteration; the Picard/transient loops of the FV thermal
-/// solver pass the previous pass/step solution, cutting the inner iteration
-/// count sharply. SpMV, the V-cycle and all reductions run on the parallel
-/// layer with partition-independent arithmetic, so the returned solution is
-/// bit-identical across thread counts — and across pools. The pool-less
-/// overload runs on the calling thread's current pool.
+/// of the grid `a` lives on and nothing else. `x0` (optional) warm-starts
+/// the iteration; the Picard/transient loops of the FV thermal solver pass
+/// the previous pass/step solution, cutting the inner iteration count
+/// sharply. SpMV, the V-cycle and all reductions run on the parallel layer
+/// with partition-independent arithmetic, so the returned solution is
+/// bit-identical across thread counts — and across pools — and a stencil
+/// solve is bit-identical to the Jacobi solve of its to_csr(). The
+/// pool-less overloads run on the calling thread's current pool.
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr, Multigrid* mg = nullptr);
+                                   const Vector* x0 = nullptr);
 IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
+                                   const IterativeOptions& opts = {},
+                                   const Vector* x0 = nullptr);
+IterativeResult conjugate_gradient(const StencilView& a, const Vector& b,
+                                   const IterativeOptions& opts = {},
+                                   const Vector* x0 = nullptr, Multigrid* mg = nullptr);
+IterativeResult conjugate_gradient(ThreadPool& pool, const StencilView& a, const Vector& b,
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr, Multigrid* mg = nullptr);
 

@@ -50,7 +50,10 @@ class Registry;
 namespace detail {
 /// Registry bound to this thread by ExecutionContext::Use; null means the
 /// process-wide default. Not touched directly — see current() / bind below.
-extern thread_local Registry* t_current;
+/// constinit: other translation units then know it needs no dynamic
+/// initialisation and read it directly, not through the thread_local
+/// wrapper call that -fsanitize=undefined reports as a null-pointer load.
+extern constinit thread_local Registry* t_current;
 }  // namespace detail
 
 /// Monotonic event counter. add() is safe from any thread. Mutations are

@@ -347,11 +347,8 @@ static void for_each_boundary_face(const FvGrid& g, const Vector& kx, const Vect
 }
 
 std::size_t FvAssembly::cost_bytes() const {
-  return sizeof(FvAssembly) +
-         matrix.values().size() * (sizeof(double) + sizeof(std::size_t)) +
-         matrix.row_ptr().size() * sizeof(std::size_t) +
-         base_values.size() * sizeof(double) + diag_index.size() * sizeof(std::size_t) +
-         capacity.size() * sizeof(double) + mg_levels.size() * sizeof(numeric::GridShape);
+  return sizeof(FvAssembly) + stencil.bytes() + capacity.size() * sizeof(double) +
+         mg_levels.size() * sizeof(numeric::GridShape);
 }
 
 std::uint64_t FvModel::structural_hash(const FvOptions& opts, double inv_dt) const {
@@ -384,31 +381,6 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
   const std::size_t n = grid_.cell_count();
   const std::size_t sxy = nx * ny;
 
-  // Face conductances: temperature-independent, computed exactly once.
-  // gx[(i,j,k)], i in [0,nx-1): conductance of the face between cells
-  // (i,j,k) and (i+1,j,k); gy/gz analogous.
-  std::vector<double> gx(nx > 1 ? (nx - 1) * ny * nz : 0, 0.0);
-  std::vector<double> gy(ny > 1 ? nx * (ny - 1) * nz : 0, 0.0);
-  std::vector<double> gz(nz > 1 ? sxy * (nz - 1) : 0, 0.0);
-  // The range is nz but each index fills a full plane of faces: the grain
-  // estimate must count cells, or the dispatcher would serialize real work.
-  numeric::parallel_for(
-      0, nz,
-      [&](std::size_t klo, std::size_t khi) {
-        for (std::size_t k = klo; k < khi; ++k)
-          for (std::size_t j = 0; j < ny; ++j) {
-            for (std::size_t i = 0; i + 1 < nx; ++i)
-              gx[i + (nx - 1) * (j + ny * k)] = face_conductance_x(i, i + 1, j, k, opts.scheme);
-            if (j + 1 < ny)
-              for (std::size_t i = 0; i < nx; ++i)
-                gy[i + nx * (j + (ny - 1) * k)] = face_conductance_y(j, j + 1, i, k, opts.scheme);
-            if (k + 1 < nz)
-              for (std::size_t i = 0; i < nx; ++i)
-                gz[i + nx * (j + ny * k)] = face_conductance_z(k, k + 1, i, j, opts.scheme);
-          }
-      },
-      numeric::grain::Work::elements(n, numeric::grain::Cost::kCell));
-
   auto cache = std::make_shared<FvAssembly>();
   cache->inv_dt = inv_dt;
   cache->structural_hash = structural_hash(opts, inv_dt);
@@ -422,55 +394,39 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
         }
   }
 
-  // Symbolic structure: 7-point stencil, columns emitted in ascending order
-  // (offsets -sxy < -nx < -1 < 0 < +1 < +nx < +sxy for existing neighbors),
-  // which satisfies the CsrMatrix sorted-column invariant by construction.
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  for (std::size_t k = 0; k < nz; ++k)
-    for (std::size_t j = 0; j < ny; ++j)
-      for (std::size_t i = 0; i < nx; ++i) {
-        const std::size_t stencil = 1 + (i > 0) + (i + 1 < nx) + (j > 0) + (j + 1 < ny) +
-                                    (k > 0) + (k + 1 < nz);
-        row_ptr[grid_.index(i, j, k) + 1] = stencil;
-      }
-  for (std::size_t c = 0; c < n; ++c) row_ptr[c + 1] += row_ptr[c];
-
-  const std::size_t nnz = row_ptr[n];
-  std::vector<std::size_t> col_idx(nnz);
-  cache->base_values.assign(nnz, 0.0);
-  cache->diag_index.assign(n, 0);
-  numeric::parallel_for(
-      0, nz,
-      [&](std::size_t klo, std::size_t khi) {
-    for (std::size_t k = klo; k < khi; ++k)
-      for (std::size_t j = 0; j < ny; ++j)
-        for (std::size_t i = 0; i < nx; ++i) {
-          const std::size_t c = grid_.index(i, j, k);
-          std::size_t w = row_ptr[c];
-          double diag = cache->capacity.empty() ? 0.0 : cache->capacity[c];
-          const auto off_diag = [&](std::size_t col, double g) {
-            col_idx[w] = col;
-            cache->base_values[w] = -g;
-            ++w;
-            diag += g;
-          };
-          if (k > 0) off_diag(c - sxy, gz[i + nx * (j + ny * (k - 1))]);
-          if (j > 0) off_diag(c - nx, gy[i + nx * (j - 1 + (ny - 1) * k)]);
-          if (i > 0) off_diag(c - 1, gx[i - 1 + (nx - 1) * (j + ny * k)]);
-          const std::size_t dpos = w;
-          col_idx[w] = c;
-          ++w;
-          if (i + 1 < nx) off_diag(c + 1, gx[i + (nx - 1) * (j + ny * k)]);
-          if (j + 1 < ny) off_diag(c + nx, gy[i + nx * (j + (ny - 1) * k)]);
-          if (k + 1 < nz) off_diag(c + sxy, gz[i + nx * (j + ny * k)]);
-          cache->base_values[dpos] = diag;
-          cache->diag_index[c] = dpos;
-        }
-      },
-      numeric::grain::Work::elements(n, numeric::grain::Cost::kCell));
-
-  cache->matrix = numeric::CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                                     std::vector<double>(cache->base_values));
+  // Couplings: minus the face conductance to the +x/+y/+z neighbour,
+  // temperature-independent, computed exactly once per face. The range is
+  // nz but each index fills a full plane of cells: the grain estimate must
+  // count cells, or the dispatcher would serialize real work.
+  numeric::Stencil& st = cache->stencil;
+  st = numeric::Stencil({nx, ny, nz});
+  const auto per_plane = [&](const auto& fn) {
+    numeric::parallel_for(
+        0, nz,
+        [&](std::size_t klo, std::size_t khi) {
+          for (std::size_t k = klo; k < khi; ++k)
+            for (std::size_t j = 0; j < ny; ++j)
+              for (std::size_t i = 0; i < nx; ++i) fn(grid_.index(i, j, k), i, j, k);
+        },
+        numeric::grain::Work::elements(n, numeric::grain::Cost::kCell));
+  };
+  per_plane([&](std::size_t c, std::size_t i, std::size_t j, std::size_t k) {
+    if (i + 1 < nx) st.wx[c] = -face_conductance_x(i, i + 1, j, k, opts.scheme);
+    if (j + 1 < ny) st.wy[c] = -face_conductance_y(j, j + 1, i, k, opts.scheme);
+    if (k + 1 < nz) st.wz[c] = -face_conductance_z(k, k + 1, i, j, opts.scheme);
+  });
+  // Diagonal: capacity/dt plus the conductances of every neighbour, summed
+  // in the stencil's row order (-z, -y, -x, +x, +y, +z).
+  per_plane([&](std::size_t c, std::size_t i, std::size_t j, std::size_t k) {
+    double diag = cache->capacity.empty() ? 0.0 : cache->capacity[c];
+    if (k > 0) diag -= st.wz[c - sxy];
+    if (j > 0) diag -= st.wy[c - nx];
+    if (i > 0) diag -= st.wx[c - 1];
+    if (i + 1 < nx) diag -= st.wx[c];
+    if (j + 1 < ny) diag -= st.wy[c];
+    if (k + 1 < nz) diag -= st.wz[c];
+    st.diag[c] = diag;
+  });
   cache->mg_levels = numeric::multigrid_levels(nx, ny, nz);
   return cache;
 }
@@ -488,7 +444,7 @@ numeric::Vector FvModel::build_base_rhs() const {
 
 FvModel::Workspace FvModel::make_workspace(std::shared_ptr<const FvAssembly> assembly) const {
   Workspace ws;
-  ws.matrix = assembly->matrix;  // private working copy; the shared artifact stays immutable
+  ws.diag = assembly->stencil.diag;  // private copy; the shared artifact stays immutable
   ws.base_rhs = build_base_rhs();
   ws.assembly = std::move(assembly);
   return ws;
@@ -500,7 +456,7 @@ numeric::IterativeResult FvModel::Workspace::solve(const Vector& rhs,
   static thread_local obs::GaugeHandle mg_levels{"fv.mg_levels"};
   if (!mg && !assembly->mg_levels.empty()) mg.emplace(assembly->mg_levels);
   if (obs::enabled()) mg_levels.set(mg ? static_cast<double>(mg->depth()) : 0.0);
-  return numeric::conjugate_gradient(matrix, rhs, opts, x0, mg ? &*mg : nullptr);
+  return numeric::conjugate_gradient(op(), rhs, opts, x0, mg ? &*mg : nullptr);
 }
 
 void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
@@ -509,12 +465,8 @@ void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
   updates.add();
   obs::ScopedTimer span("fv.update_boundary");
   const FvAssembly& a = *ws.assembly;
-  std::vector<double>& values = ws.matrix.values();
-  numeric::parallel_for(0, values.size(), [&](std::size_t lo, std::size_t hi) {
-    std::copy(a.base_values.begin() + static_cast<std::ptrdiff_t>(lo),
-              a.base_values.begin() + static_cast<std::ptrdiff_t>(hi),
-              values.begin() + static_cast<std::ptrdiff_t>(lo));
-  });
+  Vector& diag = ws.diag;
+  diag = a.stencil.diag;
   rhs = ws.base_rhs;
   if (!a.capacity.empty() && prev) {
     numeric::parallel_for(0, rhs.size(), [&](std::size_t lo, std::size_t hi) {
@@ -529,7 +481,7 @@ void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
     const std::size_t c = grid_.index(f.i, f.j, f.k);
     const double g = boundary_conductance(bc, f.area, f.half, f.k_cell, temps[c]);
     if (g <= 0.0) return;
-    values[a.diag_index[c]] += g;
+    diag[c] += g;
     rhs[c] += g * bc.temperature;
   });
 }
@@ -541,18 +493,14 @@ void FvModel::update_driven_terms(Workspace& ws, const Vector& temps, const Vect
   updates.add();
   obs::ScopedTimer span("fv.update_boundary");
   const FvAssembly& a = *ws.assembly;
-  std::vector<double>& values = ws.matrix.values();
-  numeric::parallel_for(0, values.size(), [&](std::size_t lo, std::size_t hi) {
-    std::copy(a.base_values.begin() + static_cast<std::ptrdiff_t>(lo),
-              a.base_values.begin() + static_cast<std::ptrdiff_t>(hi),
-              values.begin() + static_cast<std::ptrdiff_t>(lo));
-  });
+  Vector& diag = ws.diag;
+  diag = a.stencil.diag;
   // The workspace is steady (no baked capacity): the implicit-Euler terms
   // join per step, so the same shared assembly serves every step size.
   const double ps = (drive && drive->power_scale) ? drive->power_scale(t) : 1.0;
   numeric::parallel_for(0, rhs.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
-      values[a.diag_index[c]] += capacity[c] * inv_dt;
+      diag[c] += capacity[c] * inv_dt;
       rhs[c] = ps * source_[c] + capacity[c] * inv_dt * prev[c];
     }
   });
@@ -567,7 +515,7 @@ void FvModel::update_driven_terms(Workspace& ws, const Vector& temps, const Vect
     }
     const double g = boundary_conductance(bc, f.area, f.half, f.k_cell, temps[c]);
     if (g <= 0.0) return;
-    values[a.diag_index[c]] += g;
+    diag[c] += g;
     rhs[c] += g * bc.temperature;
   });
 }
@@ -635,7 +583,7 @@ LinearSteadySystem FvModel::linearize_steady(const FvOptions& opts) const {
   // iterate passed to the boundary rewrite is arbitrary.
   const Vector temps(grid_.cell_count(), 0.0);
   update_boundary_terms(ws, temps, nullptr, sys.rhs);
-  sys.matrix = std::move(ws.matrix);
+  sys.matrix = ws.op().to_csr();
   return sys;
 }
 
@@ -711,7 +659,7 @@ FvSolution FvModel::solve_steady_impl(const FvOptions& opts,
   // Picard passes rewrite only boundary terms and warm-start CG from the
   // previous pass's temperature field. A caller-supplied shared assembly
   // skips the structural pass entirely (cache-hit path) — the workspace
-  // copies the static values so the shared artifact stays immutable.
+  // copies the diagonal so the shared artifact stays immutable.
   if (!assembly) {
     assembly = build_assembly(opts, 0.0);
     sol.structure_assemblies = 1;

@@ -28,6 +28,7 @@
 #include "numeric/dense.hpp"
 #include "numeric/multigrid.hpp"
 #include "numeric/sparse.hpp"
+#include "numeric/stencil.hpp"
 #include "thermal/convection.hpp"
 
 namespace aeropack {
@@ -118,9 +119,9 @@ struct FvSolution {
   numeric::Vector temperatures;  ///< per cell [K]
   std::size_t picard_iterations = 0;
   std::size_t linear_iterations = 0;  ///< total inner CG iterations
-  /// Number of CSR symbolic assemblies performed. With the cached fast path
-  /// this is 1 per solve regardless of Picard pass count — only boundary
-  /// values are rewritten in place between passes.
+  /// Number of structural assemblies performed. With the cached fast path
+  /// this is 1 per solve regardless of Picard pass count — only the
+  /// boundary terms of the diagonal are rewritten between passes.
   std::size_t structure_assemblies = 0;
   bool converged = false;
   double energy_residual = 0.0;  ///< |sources - boundary outflow| [W]
@@ -160,14 +161,16 @@ struct FvDrive {
 /// conditions are all temperature-independent (Adiabatic, FixedTemperature,
 /// fixed-h Convection, HeatFlux). This is the operator the compact-model
 /// reduction pipeline (aeropack::rom) projects onto its snapshot basis: the
-/// matrix is SPD with the 7-point CSR structure, and the right-hand side is
-/// affine in the boundary sink temperatures and source powers.
+/// matrix is the FV stencil in CSR form (numeric::StencilView::to_csr —
+/// SPD, 7-point rows, columns ascending, exactly symmetric), and the
+/// right-hand side is affine in the boundary sink temperatures and source
+/// powers. This is the only place the FV operator exists as CSR.
 struct LinearSteadySystem {
   numeric::CsrMatrix matrix;  ///< SPD conduction + boundary-film operator
   numeric::Vector rhs;        ///< sources + flux terms + film * sink terms [W]
 };
 
-/// The immutable structural half of an FV solve: the 7-point CSR pattern,
+/// The immutable structural half of an FV solve: the 7-point stencil of
 /// every temperature-independent internal coefficient (face conductances,
 /// contact interfaces, implicit-Euler capacity) — and nothing that depends
 /// on sources or boundary conditions, which stay on the model and are
@@ -181,16 +184,17 @@ struct LinearSteadySystem {
 /// on a cached assembly is bitwise identical to the cold-start solve that
 /// would have built it (gated by tests/svc/test_artifact_reuse.cpp).
 struct FvAssembly {
-  numeric::CsrMatrix matrix;            ///< pattern + boundary-free values
-  std::vector<double> base_values;      ///< matrix values without boundary films
-  std::vector<std::size_t> diag_index;  ///< per-row offset of the diagonal entry
-  numeric::Vector capacity;             ///< rho*cp*V/dt per cell (transient only)
-  double inv_dt = 0.0;                  ///< 0 for steady assemblies
-  std::uint64_t structural_hash = 0;    ///< FvModel::structural_hash at build time
+  /// Conduction operator without boundary films: face conductances off the
+  /// diagonal, their row sums (plus capacity/dt in a transient assembly) on
+  /// it. Solves copy only the diagonal and read the couplings from here.
+  numeric::Stencil stencil;
+  numeric::Vector capacity;           ///< rho*cp*V/dt per cell (transient only)
+  double inv_dt = 0.0;                ///< 0 for steady assemblies
+  std::uint64_t structural_hash = 0;  ///< FvModel::structural_hash at build time
   /// Multigrid level shapes of the grid (numeric::multigrid_levels), empty
   /// when the grid cannot coarsen and CG runs Jacobi-preconditioned. The
   /// coarse operators are per-solve values, refreshed from each
-  /// workspace's matrix; only this geometry is shared.
+  /// workspace's operator; only this geometry is shared.
   std::vector<numeric::GridShape> mg_levels;
   /// Approximate resident size, for cost-aware cache eviction.
   std::size_t cost_bytes() const;
@@ -335,14 +339,16 @@ class FvModel {
   const BoundaryCondition& boundary_for(Face f, std::size_t a, std::size_t b) const;
 
   /// Per-solve mutable state layered over an immutable (possibly shared)
-  /// FvAssembly: a working copy of the matrix for the boundary-film rewrite
-  /// and this model's static right-hand side (sources + prescribed fluxes).
-  /// Picard passes and time steps only rewrite the temperature-dependent
-  /// boundary terms in place; the shared assembly is never touched.
+  /// FvAssembly: a private diagonal for the boundary-film rewrite and this
+  /// model's static right-hand side (sources + prescribed fluxes). Boundary
+  /// films only ever touch the diagonal, so the couplings are read from the
+  /// shared assembly. Picard passes and time steps only rewrite the
+  /// temperature-dependent boundary terms; the shared assembly is never
+  /// touched.
   struct Workspace {
     std::shared_ptr<const FvAssembly> assembly;
-    numeric::CsrMatrix matrix;   ///< working copy: base values + boundary films
-    numeric::Vector base_rhs;    ///< sources + prescribed-flux terms [W]
+    numeric::Vector diag;      ///< assembly diagonal + boundary films (+ capacity/dt)
+    numeric::Vector base_rhs;  ///< sources + prescribed-flux terms [W]
     /// Multigrid preconditioner over assembly->mg_levels, built on first
     /// solve (absent on grids that cannot coarsen).
     std::optional<numeric::Multigrid> mg;
@@ -352,18 +358,20 @@ class FvModel {
     numeric::IterativeResult solve(const numeric::Vector& rhs,
                                    const numeric::IterativeOptions& opts,
                                    const numeric::Vector* x0);
+    /// The workspace operator: this diagonal, the assembly's couplings.
+    numeric::StencilView op() const { return assembly->stencil.view(diag); }
   };
 
   Workspace make_workspace(std::shared_ptr<const FvAssembly> assembly) const;
   /// Volumetric sources + prescribed boundary fluxes of this model [W].
   numeric::Vector build_base_rhs() const;
   /// Rewrite boundary film conductances (linearized at `temps`) into the
-  /// workspace matrix and produce the full right-hand side. `prev` supplies
+  /// workspace diagonal and produce the full right-hand side. `prev` supplies
   /// the previous time-step field for the transient capacity source term.
   void update_boundary_terms(Workspace& ws, const numeric::Vector& temps,
                              const numeric::Vector* prev, numeric::Vector& rhs) const;
-  /// Driven counterpart over a *steady* workspace: copies the base values,
-  /// adds `capacity[c] * inv_dt` to every diagonal, rebuilds the right-hand
+  /// Driven counterpart over a *steady* workspace: copies the base diagonal,
+  /// adds `capacity[c] * inv_dt` to it, rebuilds the right-hand
   /// side from power-scaled sources + the capacity source term, and applies
   /// boundary films after passing each condition through `drive` at time
   /// `t` (null drive = stored conditions, scale 1).

@@ -31,34 +31,34 @@ using aeropack::ExecutionContext;
 
 namespace {
 
-/// 7-point operator on an nx × ny × nz grid (the FvModel column layout)
-/// with a smoothly varying conductance and a sink on the x = 0 face.
-an::CsrMatrix graded_poisson(std::size_t nx, std::size_t ny, std::size_t nz) {
-  an::SparseBuilder b(nx * ny * nz, nx * ny * nz);
-  const auto idx = [&](std::size_t i, std::size_t j, std::size_t k) {
-    return i + nx * (j + ny * k);
-  };
-  const auto g = [&](std::size_t c, std::size_t q) {
-    return 1.0 + 0.5 * std::sin(0.1 * static_cast<double>(c + q));
+/// 7-point operator on an nx × ny × nz grid with a smoothly varying
+/// conductance and a sink on the x = 0 face.
+an::Stencil graded_poisson(std::size_t nx, std::size_t ny, std::size_t nz) {
+  an::Stencil a({nx, ny, nz});
+  const std::size_t sx = nx, sxy = nx * ny;
+  const auto g = [](std::size_t c, std::size_t q) {
+    return -2.0 - std::sin(0.1 * static_cast<double>(c + q));
   };
   for (std::size_t k = 0; k < nz; ++k)
     for (std::size_t j = 0; j < ny; ++j)
       for (std::size_t i = 0; i < nx; ++i) {
-        const std::size_t c = idx(i, j, k);
-        double diag = i == 0 ? 2.0 : 0.0;
-        const auto nb = [&](std::size_t q) {
-          b.add(c, q, -g(c, q) - g(q, c));
-          diag += g(c, q) + g(q, c);
-        };
-        if (i > 0) nb(idx(i - 1, j, k));
-        if (i + 1 < nx) nb(idx(i + 1, j, k));
-        if (j > 0) nb(idx(i, j - 1, k));
-        if (j + 1 < ny) nb(idx(i, j + 1, k));
-        if (k > 0) nb(idx(i, j, k - 1));
-        if (k + 1 < nz) nb(idx(i, j, k + 1));
-        b.add(c, c, diag);
+        const std::size_t c = i + sx * (j + ny * k);
+        if (i + 1 < nx) a.wx[c] = g(c, c + 1);
+        if (j + 1 < ny) a.wy[c] = g(c, c + sx);
+        if (k + 1 < nz) a.wz[c] = g(c, c + sxy);
       }
-  return b.build();
+  for (std::size_t k = 0; k < nz; ++k)
+    for (std::size_t j = 0; j < ny; ++j)
+      for (std::size_t i = 0; i < nx; ++i) {
+        const std::size_t c = i + sx * (j + ny * k);
+        double diag = i == 0 ? 2.0 : 0.0;
+        if (i > 0) diag -= a.wx[c - 1];
+        if (j > 0) diag -= a.wy[c - sx];
+        if (k > 0) diag -= a.wz[c - sxy];
+        diag -= a.wx[c] + a.wy[c] + a.wz[c];
+        a.diag[c] = diag;
+      }
+  return a;
 }
 
 an::Vector wavy(std::size_t n, double f) {
@@ -134,12 +134,12 @@ TEST(MultigridLevels, CoarsenWhileEveryAxisHasEightCells) {
 }
 
 TEST(MultigridPreconditioner, IsSymmetricPositiveDefinite) {
-  const an::CsrMatrix a = graded_poisson(19, 16, 11);
+  const an::Stencil a = graded_poisson(19, 16, 11);
   an::Multigrid mg(an::multigrid_levels(19, 16, 11));
   EXPECT_EQ(mg.depth(), 2u);
   an::ThreadPool& pool = an::current_pool();
-  mg.setup(pool, a);
-  const an::Vector x = wavy(a.rows(), 0.37), y = wavy(a.rows(), 0.11);
+  mg.setup(pool, a.view());
+  const an::Vector x = wavy(a.shape.cells(), 0.37), y = wavy(a.shape.cells(), 0.11);
   an::Vector mx, my;
   mg.apply(pool, x, mx);
   mg.apply(pool, y, my);
@@ -151,18 +151,19 @@ TEST(MultigridPreconditioner, IsSymmetricPositiveDefinite) {
 
 TEST(MultigridPreconditioner, RejectsAMatrixOfAnotherGrid) {
   an::Multigrid mg(an::multigrid_levels(16, 16, 16));
-  EXPECT_THROW(mg.setup(an::current_pool(), graded_poisson(16, 16, 15)), std::invalid_argument);
+  EXPECT_THROW(mg.setup(an::current_pool(), graded_poisson(16, 16, 15).view()),
+               std::invalid_argument);
   an::Vector z;
   EXPECT_THROW(mg.apply(an::current_pool(), an::Vector(16 * 16 * 16, 1.0), z), std::logic_error);
   EXPECT_THROW(an::Multigrid(an::multigrid_levels(16, 4, 4)), std::invalid_argument);
 }
 
 TEST(MultigridCg, CutsIterationsWithoutMovingTheAnswer) {
-  const an::CsrMatrix a = graded_poisson(32, 32, 32);
-  const an::Vector b = wavy(a.rows(), 0.05);
-  const an::IterativeResult jacobi = an::conjugate_gradient(a, b);
+  const an::Stencil a = graded_poisson(32, 32, 32);
+  const an::Vector b = wavy(a.shape.cells(), 0.05);
+  const an::IterativeResult jacobi = an::conjugate_gradient(a.view(), b);
   an::Multigrid mg(an::multigrid_levels(32, 32, 32));
-  const an::IterativeResult multigrid = an::conjugate_gradient(a, b, {}, nullptr, &mg);
+  const an::IterativeResult multigrid = an::conjugate_gradient(a.view(), b, {}, nullptr, &mg);
   ASSERT_TRUE(jacobi.converged);
   ASSERT_TRUE(multigrid.converged);
   EXPECT_LE(multigrid.iterations * 5, jacobi.iterations)
@@ -176,14 +177,15 @@ TEST(MultigridCg, CutsIterationsWithoutMovingTheAnswer) {
 }
 
 TEST(MultigridCg, BitIdenticalAcrossThreadCounts) {
-  const an::CsrMatrix a = graded_poisson(24, 17, 16);
-  const an::Vector b = wavy(a.rows(), 0.21);
+  const an::Stencil a = graded_poisson(24, 17, 16);
+  const an::Vector b = wavy(a.shape.cells(), 0.21);
   an::grain::ScopedForceFanOut force;
   an::IterativeResult ref;
   for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     an::ThreadPool pool(t);
     an::Multigrid mg(an::multigrid_levels(24, 17, 16));
-    const an::IterativeResult res = an::conjugate_gradient(pool, a, b, {}, nullptr, &mg);
+    const an::IterativeResult res =
+        an::conjugate_gradient(pool, a.view(), b, {}, nullptr, &mg);
     ASSERT_TRUE(res.converged) << "t=" << t;
     if (t == 1) {
       ref = res;
@@ -246,7 +248,7 @@ TEST(FvMultigridSolves, SteadyFvPrimePointMeetsTheIterationBarAndMatchesJacobi) 
   EXPECT_EQ(r.counters.at("numeric.cg.mg_solves"), 1u);
   EXPECT_EQ(r.gauges.at("fv.mg_levels"), 5.0);
 
-  // Jacobi CG on the same linear system: a bare CSR matrix carries no grid.
+  // Jacobi CG on the same linear system, in the CSR form ROM builds solve.
   const at::LinearSteadySystem sys = slab(64, 5.0, 320.0).linearize_steady();
   const an::IterativeResult jacobi = an::conjugate_gradient(sys.matrix, sys.rhs);
   ASSERT_TRUE(jacobi.converged);
