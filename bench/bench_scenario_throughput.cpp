@@ -2,10 +2,11 @@
 //
 // The paper's co-design loop (Fig. 1) evaluates thermal and mechanical
 // models against one specification; a trade study multiplies that into a
-// batch of independent what-if scenarios. This bench drives a mixed batch —
-// an SEB power sweep (Fig. 10), modal placement variants of the Fig. 2
-// avionics board, and FV slab heat-load variants — through
-// core::ScenarioRunner, sweeping the worker count and recording
+// batch of independent what-if scenarios. This bench submits a mixed batch
+// of ScenarioSpecs — an SEB power sweep (Fig. 10), modal placement variants
+// of the Fig. 2 avionics board, and FV slab heat-load variants — to a
+// core::ScenarioService with a zero-capacity artifact cache (every scenario
+// solves from scratch), sweeping the worker count and recording
 // scenarios/sec. Every scenario runs on its own ExecutionContext, so the
 // numbers also demonstrate the isolation contract: per-scenario counters
 // come back deterministic and identical at every worker count.
@@ -26,9 +27,7 @@
 #include <vector>
 
 #include "core/qualification.hpp"
-#include "core/scenario_runner.hpp"
 #include "core/scenario_service.hpp"
-#include "core/seb.hpp"
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
 #include "numeric/parallel.hpp"
@@ -49,122 +48,107 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// SEB operating point at one sweep power (Fig. 10 ordinate, LHP chain).
-ac::ScenarioFn seb_scenario(double power_w, double tilt_deg) {
-  return [power_w, tilt_deg](aeropack::ExecutionContext&) {
-    const ac::SebModel seb{ac::SebDesign{}};
-    const ac::SebOperatingPoint op =
-        seb.solve(power_w, 295.15, ac::SebCooling::HeatPipesAndLhp, tilt_deg);
-    return std::map<std::string, double>{
-        {"dt_pcb_air", op.dt_pcb_air},
-        {"q_lhp_path", op.q_lhp_path},
-        {"t_pcb", op.t_pcb},
-    };
-  };
+/// Fig. 2 placement variant (bench-local graph "board_modal", params:
+/// mass_x [m]): the heavy component slides along the board. It runs
+/// PlateModel::solve_modal, participation factors included, so its cost
+/// profile is that of one isolated modal analysis; the built-in modal_plate
+/// graph skips the participation product (one SpMV fewer).
+std::map<std::string, double> board_modal(const ac::ScenarioSpec& spec,
+                                          aeropack::ExecutionContext&) {
+  af::PlateModel board(0.16, 0.10, 1.6e-3, am::fr4(), 8, 5);
+  board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
+  board.add_smeared_mass(2.5);
+  board.add_point_mass(spec.params.at("mass_x"), 0.05, 0.18);
+  board.add_doubler(0.03, 0.13, 0.02, 0.08, 1.8);
+  af::ModalOptions opts;
+  opts.n_modes = 6;
+  opts.path = af::ModalPath::Sparse;
+  const af::PlateModalResult modes = board.solve_modal(opts);
+  return {{"f1_hz", modes.frequencies_hz[0]}, {"f2_hz", modes.frequencies_hz[1]}};
 }
 
-/// Fig. 2 style placement variant: the heavy component slides along the
-/// board, the fundamental frequency is the scenario output. Sparse modal
-/// path so the context's pool does the work.
-ac::ScenarioFn modal_scenario(double mass_x) {
-  return [mass_x](aeropack::ExecutionContext&) {
-    af::PlateModel board(0.16, 0.10, 1.6e-3, am::fr4(), 8, 5);
-    board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
-    board.add_smeared_mass(2.5);
-    board.add_point_mass(mass_x, 0.05, 0.18);
-    board.add_doubler(0.03, 0.13, 0.02, 0.08, 1.8);
-    af::ModalOptions opts;
-    opts.n_modes = 6;
-    opts.path = af::ModalPath::Sparse;
-    const af::PlateModalResult modes = board.solve_modal(opts);
-    return std::map<std::string, double>{
-        {"f1_hz", modes.frequencies_hz[0]},
-        {"f2_hz", modes.frequencies_hz[1]},
-    };
-  };
-}
+/// Full qualification campaign for a board variant (bench-local graph
+/// "qual_board", params: thickness [m]): the modal solve feeds the EUT's
+/// fundamental frequency, an FV solve feeds its junction temperature model,
+/// then the DO-160-style campaign runs end to end.
+std::map<std::string, double> qual_board(const ac::ScenarioSpec& spec,
+                                         aeropack::ExecutionContext&) {
+  const double thickness = spec.params.at("thickness");
+  af::PlateModel board(0.16, 0.10, thickness, am::fr4(), 8, 5);
+  board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
+  board.add_smeared_mass(2.5);
+  board.add_point_mass(0.05, 0.05, 0.18);
+  af::ModalOptions opts;
+  opts.n_modes = 1;
+  opts.path = af::ModalPath::Sparse;
+  const double f1 = board.solve_modal(opts).frequencies_hz[0];
 
-/// FV slab at one heat load: the qualification-campaign style thermal check.
-ac::ScenarioFn fv_scenario(double power_w) {
-  return [power_w](aeropack::ExecutionContext&) {
-    at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 16, 4, 4));
+  ac::EquipmentUnderTest eut;
+  eut.name = "board";
+  eut.fundamental_frequency = f1;
+  eut.board_thickness = thickness;
+  eut.worst_junction_at_ambient = [](double ambient) {
+    at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 12, 3, 3));
     slab.set_material(am::aluminum_6061());
-    slab.add_power({0, 16, 0, 4, 0, 4}, power_w);
-    slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(300.0));
-    slab.set_boundary(at::Face::XMax, at::BoundaryCondition::fixed(320.0));
-    const at::FvSolution sol = slab.solve_steady();
-    return std::map<std::string, double>{
-        {"t_max", sol.max_temperature},
-    };
+    slab.add_power({0, 12, 0, 3, 0, 3}, 6.0);
+    slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(ambient));
+    return slab.solve_steady().max_temperature;
   };
+  const ac::CampaignReport report = ac::run_campaign(eut);
+  double min_margin = 1e300;
+  for (const ac::TestResult& r : report.results) min_margin = std::min(min_margin, r.margin);
+  return {{"f1_hz", f1}, {"all_passed", report.all_passed ? 1.0 : 0.0}, {"min_margin", min_margin}};
 }
 
-/// Full qualification campaign for a board variant: the modal solve feeds
-/// the EUT's fundamental frequency, an FV solve feeds its junction
-/// temperature model, then the DO-160-style campaign runs end to end.
-ac::ScenarioFn qual_scenario(double thickness) {
-  return [thickness](aeropack::ExecutionContext&) {
-    af::PlateModel board(0.16, 0.10, thickness, am::fr4(), 8, 5);
-    board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
-    board.add_smeared_mass(2.5);
-    board.add_point_mass(0.05, 0.05, 0.18);
-    af::ModalOptions opts;
-    opts.n_modes = 1;
-    opts.path = af::ModalPath::Sparse;
-    const double f1 = board.solve_modal(opts).frequencies_hz[0];
-
-    ac::EquipmentUnderTest eut;
-    eut.name = "board";
-    eut.fundamental_frequency = f1;
-    eut.board_thickness = thickness;
-    eut.worst_junction_at_ambient = [](double ambient) {
-      at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 12, 3, 3));
-      slab.set_material(am::aluminum_6061());
-      slab.add_power({0, 12, 0, 3, 0, 3}, 6.0);
-      slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(ambient));
-      return slab.solve_steady().max_temperature;
-    };
-    const ac::CampaignReport report = ac::run_campaign(eut);
-    double min_margin = 1e300;
-    for (const ac::TestResult& r : report.results) min_margin = std::min(min_margin, r.margin);
-    return std::map<std::string, double>{
-        {"f1_hz", f1},
-        {"all_passed", report.all_passed ? 1.0 : 0.0},
-        {"min_margin", min_margin},
-    };
-  };
+ac::ScenarioSpec batch_spec(const char* name, const char* graph) {
+  ac::ScenarioSpec spec;
+  spec.name = name;
+  spec.graph = graph;
+  return spec;
 }
 
-void add_scenarios(ac::ScenarioRunner& runner, bool smoke) {
+/// The worker-sweep batch: SEB points and FV slab loads on the built-in
+/// graphs (defaults give the Fig. 10 SEB chain and the 16x4x4 slab), board
+/// placements on "board_modal"; full runs add qualification campaigns on
+/// "qual_board".
+std::vector<ac::ScenarioSpec> make_batch(bool smoke) {
+  std::vector<ac::ScenarioSpec> specs;
+  char name[32];
   const std::vector<double> powers =
       smoke ? std::vector<double>{60.0, 120.0}
             : std::vector<double>{40.0, 60.0, 80.0, 100.0, 120.0};
   for (const double p : powers) {
-    char name[32];
     std::snprintf(name, sizeof name, "seb_p%03d", static_cast<int>(p));
-    runner.add(name, seb_scenario(p, p >= 100.0 ? 22.0 : 0.0));
+    ac::ScenarioSpec spec = batch_spec(name, "seb_point");
+    spec.loads = {{"power_w", p}};
+    if (p >= 100.0) spec.params = {{"tilt_deg", 22.0}};
+    specs.push_back(spec);
   }
   const std::vector<double> xs =
       smoke ? std::vector<double>{0.05} : std::vector<double>{0.03, 0.05, 0.08, 0.11};
   for (const double x : xs) {
-    char name[32];
     std::snprintf(name, sizeof name, "modal_x%03d", static_cast<int>(x * 1e3));
-    runner.add(name, modal_scenario(x));
+    ac::ScenarioSpec spec = batch_spec(name, "board_modal");
+    spec.params = {{"mass_x", x}};
+    specs.push_back(spec);
   }
   const std::vector<double> loads =
       smoke ? std::vector<double>{5.0} : std::vector<double>{2.0, 5.0, 8.0, 12.0};
   for (const double q : loads) {
-    char name[32];
     std::snprintf(name, sizeof name, "fv_q%03d", static_cast<int>(q));
-    runner.add(name, fv_scenario(q));
+    ac::ScenarioSpec spec = batch_spec(name, "fv_slab_steady");
+    spec.loads = {{"power_w", q}};
+    specs.push_back(spec);
   }
   if (!smoke) {
     for (const double t : {1.2e-3, 1.6e-3, 2.0e-3}) {
-      char name[32];
       std::snprintf(name, sizeof name, "qual_t%03d", static_cast<int>(t * 1e5));
-      runner.add(name, qual_scenario(t));
+      ac::ScenarioSpec spec = batch_spec(name, "qual_board");
+      spec.params = {{"thickness", t}};
+      specs.push_back(spec);
     }
   }
+  return specs;
 }
 
 struct SweepPoint {
@@ -237,7 +221,7 @@ std::vector<ac::ScenarioSpec> make_campaign(std::size_t n_points) {
   return specs;
 }
 
-ac::ScenarioServiceOptions campaign_options(std::size_t workers, bool use_cache) {
+ac::ScenarioServiceOptions campaign_options(std::size_t workers, bool cached) {
   ac::ScenarioServiceOptions opts;
   opts.workers = workers;
   opts.threads_per_scenario = 1;
@@ -245,8 +229,7 @@ ac::ScenarioServiceOptions campaign_options(std::size_t workers, bool use_cache)
   // per-scenario registries — campaign scenarios are microsolves, so
   // per-scenario registry setup would dominate what we measure.
   opts.telemetry = false;
-  opts.use_cache = use_cache;
-  opts.deduplicate = use_cache;  // baseline = legacy semantics: every spec solves
+  if (!cached) opts.cache.capacity_bytes = 0;  // baseline: every solve builds cold
   return opts;
 }
 
@@ -313,7 +296,7 @@ int main(int argc, char** argv) try {
 
   std::printf("\n================================================================\n");
   std::printf("BENCH-SCENARIO — co-design batch throughput on isolated contexts\n");
-  std::printf("SEB sweep + modal placement + FV loads via core::ScenarioRunner\n");
+  std::printf("SEB sweep + modal placement + FV loads via core::ScenarioService\n");
   std::printf("================================================================\n");
 
   const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -325,18 +308,21 @@ int main(int argc, char** argv) try {
   }
   std::printf("  hardware threads: %zu\n\n", hardware);
 
+  const std::vector<ac::ScenarioSpec> batch = make_batch(smoke);
   std::vector<SweepPoint> sweep;
   std::vector<ac::ScenarioResult> reference;  // workers=1 run, for the report
   for (const std::size_t w : worker_counts) {
-    ac::ScenarioRunnerOptions opts;
+    ac::ScenarioServiceOptions opts;
     opts.workers = w;
     opts.threads_per_scenario = 1;
     opts.telemetry = !report_path.empty() || w == worker_counts.front();
-    ac::ScenarioRunner runner(opts);
-    add_scenarios(runner, smoke);
+    opts.cache.capacity_bytes = 0;  // isolated cold solves, as each scenario alone
+    ac::ScenarioService service(opts);
+    service.register_graph("board_modal", board_modal);
+    service.register_graph("qual_board", qual_board);
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<ac::ScenarioResult> results = runner.run();
+    std::vector<ac::ScenarioResult> results = service.run(batch);
     SweepPoint point;
     point.workers = w;
     point.seconds = seconds_since(t0);
@@ -392,9 +378,10 @@ int main(int argc, char** argv) try {
   // The same bench binary drives the schema-first path: a >= 10^4-point
   // design campaign (240 in smoke) through ScenarioService three ways —
   // cached at 1 worker (the deterministic run whose cache counters CI
-  // gates), cached at several workers (throughput), and cache-less at 1
-  // worker (the cold baseline the cached run must beat and match to the
-  // bit). Smoke self-gates: hit rate >= 0.5, speedup >= 2x, bitwise equal.
+  // gates), cached at several workers (throughput), and with a
+  // zero-capacity cache at 1 worker (the cold baseline the cached run must
+  // beat and match to the bit; it deduplicates like every service run).
+  // Smoke self-gates: hit rate >= 0.5, speedup >= 2x, bitwise equal.
   std::printf("\n----------------------------------------------------------------\n");
   std::printf("campaign: %zu design points via core::ScenarioService\n", campaign_points);
   std::printf("----------------------------------------------------------------\n");

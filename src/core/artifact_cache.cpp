@@ -58,7 +58,8 @@ std::shared_ptr<const void> ArtifactCache::find_erased(std::uint64_t key,
 
 void ArtifactCache::insert_erased(std::uint64_t key, std::shared_ptr<const void> value,
                                   const std::type_info& type, std::size_t cost_bytes) {
-  if (!value || cost_bytes > shard_capacity_) return;  // never fits; drop
+  // A zero-capacity shard stores nothing, not even a zero-cost artifact.
+  if (!value || shard_capacity_ == 0 || cost_bytes > shard_capacity_) return;
   Shard& shard = shard_for(key);
   std::unique_lock lock(shard.mutex);
   if (shard.entries.count(key)) return;  // first writer wins

@@ -1,6 +1,8 @@
 #include "core/scenario_service.hpp"
 
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -25,7 +27,14 @@ double get_or(const std::map<std::string, double>& m, const std::string& key, do
 std::size_t get_index(const std::map<std::string, double>& m, const std::string& key,
                       std::size_t fallback) {
   const double v = get_or(m, key, static_cast<double>(fallback));
-  if (v < 1.0) throw std::invalid_argument("scenario param '" + key + "' must be >= 1");
+  // The range test is written to fail on NaN. Non-integral values are
+  // rejected, not truncated: 2.5 would solve as 2 yet hash apart from it.
+  if (!(v >= 1.0 && v <= 0x1p53) || v != std::floor(v)) {
+    char value[32];
+    std::snprintf(value, sizeof value, "%.17g", v);
+    throw std::invalid_argument("scenario param '" + key + "' must be an integer >= 1, got " +
+                                value);
+  }
   return static_cast<std::size_t>(v);
 }
 
@@ -54,16 +63,10 @@ std::map<std::string, double> fv_slab_steady(const ScenarioSpec& spec, Execution
                     at::BoundaryCondition::fixed(get_or(spec.boundaries, "t_hot", 320.0)));
 
   const at::FvOptions fv_opts;
-  at::FvSolution sol;
-  if (ArtifactCache* cache = ctx.artifact_cache()) {
-    const auto assembly = cache->get_or_build<at::FvAssembly>(
-        slab.structural_hash(fv_opts, 0.0),
-        [&] { return slab.build_assembly(fv_opts, 0.0); },
-        [](const at::FvAssembly& a) { return a.cost_bytes(); });
-    sol = slab.solve_steady(assembly, fv_opts);
-  } else {
-    sol = slab.solve_steady(fv_opts);
-  }
+  const auto assembly = ctx.artifact_cache()->get_or_build<at::FvAssembly>(
+      slab.structural_hash(fv_opts, 0.0), [&] { return slab.build_assembly(fv_opts, 0.0); },
+      [](const at::FvAssembly& a) { return a.cost_bytes(); });
+  const at::FvSolution sol = slab.solve_steady(assembly, fv_opts);
   return {{"t_max", sol.max_temperature},
           {"t_min", sol.min_temperature},
           {"energy_residual", sol.energy_residual}};
@@ -96,20 +99,16 @@ std::map<std::string, double> modal_plate(const ScenarioSpec& spec, ExecutionCon
   // The factorization key hashes K and the shift only — sound because we
   // cache exclusively ladder-free shift-0 factorizations, whose factored
   // matrix is exactly K (fem::ModalFactorization docs).
-  std::shared_ptr<const af::ModalFactorization> factor;
-  if (ArtifactCache* cache = ctx.artifact_cache()) {
-    numeric::StructuralHasher h;
-    h.add(std::string_view("fem.modal_factorization")).add(numeric::hash_csr(k)).add(opts.shift);
-    const std::uint64_t key = h.value();
-    factor = cache->find<af::ModalFactorization>(key);
-    if (!factor) {
-      auto built = std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
-      if (built->ladder_free && opts.shift == 0.0)
-        cache->insert<af::ModalFactorization>(key, built, built->cost_bytes());
-      factor = std::move(built);
-    }
-  } else {
-    factor = std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
+  ArtifactCache& cache = *ctx.artifact_cache();
+  numeric::StructuralHasher h;
+  h.add(std::string_view("fem.modal_factorization")).add(numeric::hash_csr(k)).add(opts.shift);
+  const std::uint64_t key = h.value();
+  std::shared_ptr<const af::ModalFactorization> factor = cache.find<af::ModalFactorization>(key);
+  if (!factor) {
+    auto built = std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
+    if (built->ladder_free && opts.shift == 0.0)
+      cache.insert<af::ModalFactorization>(key, built, built->cost_bytes());
+    factor = std::move(built);
   }
   const af::ReducedModes modes = af::solve_reduced_modes(k, m, opts, *factor);
 
@@ -139,8 +138,6 @@ std::map<std::string, double> seb_point(const ScenarioSpec& spec, ExecutionConte
 
 struct ScenarioService::Job {
   ScenarioSpec spec;
-  ScenarioFn fn;  ///< opaque path when non-empty (spec ignored)
-  bool opaque = false;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -188,42 +185,22 @@ ScenarioService::Ticket ScenarioService::submit(ScenarioSpec spec) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Ticket ticket;
   ticket.name_ = spec.name;
-  const std::uint64_t hash = opts_.deduplicate ? spec.content_hash() : 0;
+  const std::uint64_t hash = spec.content_hash();
   {
     std::lock_guard lock(queue_mutex_);
-    if (opts_.deduplicate) {
-      const auto it = memo_.find(hash);
-      if (it != memo_.end()) {
-        dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled()) obs::current().counter("svc.cache.dedup_hits").add();
-        ticket.job_ = it->second;
-        return ticket;
-      }
+    const auto it = memo_.find(hash);
+    if (it != memo_.end()) {
+      dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (obs::enabled()) obs::current().counter("svc.cache.dedup_hits").add();
+      ticket.job_ = it->second;
+      return ticket;
     }
     auto job = std::make_shared<Job>();
     job->spec = std::move(spec);
     job->result.name = job->spec.name;
-    if (opts_.deduplicate) memo_.emplace(hash, job);
+    memo_.emplace(hash, job);
     queue_.push_back(job);
     ticket.job_ = std::move(job);
-  }
-  queue_cv_.notify_one();
-  return ticket;
-}
-
-ScenarioService::Ticket ScenarioService::submit(std::string name, ScenarioFn fn) {
-  if (!fn) throw std::invalid_argument("ScenarioService::submit: empty scenario");
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto job = std::make_shared<Job>();
-  job->fn = std::move(fn);
-  job->opaque = true;
-  job->result.name = name;
-  Ticket ticket;
-  ticket.name_ = std::move(name);
-  ticket.job_ = job;
-  {
-    std::lock_guard lock(queue_mutex_);
-    queue_.push_back(std::move(job));
   }
   queue_cv_.notify_one();
   return ticket;
@@ -272,29 +249,25 @@ void ScenarioService::worker_loop() {
 }
 
 void ScenarioService::execute(Job& job) {
-  // Fresh isolated context per scenario, exactly as ScenarioRunner handed
-  // out — plus the artifact-cache pointer the solver graphs probe.
+  // Fresh isolated context per scenario, plus the artifact-cache pointer
+  // the solver graphs probe.
   ExecutionConfig cfg;
   cfg.threads = opts_.threads_per_scenario;
   cfg.telemetry = opts_.telemetry;
-  cfg.artifact_cache = opts_.use_cache ? &cache_ : nullptr;
+  cfg.artifact_cache = &cache_;
   ExecutionContext ctx(cfg);
   const auto t0 = std::chrono::steady_clock::now();
   try {
     const ExecutionContext::Use use(ctx);
-    if (job.opaque) {
-      job.result.values = job.fn(ctx);
-    } else {
-      GraphFn graph;
-      {
-        std::lock_guard lock(graphs_mutex_);
-        const auto it = graphs_.find(job.spec.graph);
-        if (it != graphs_.end()) graph = it->second;
-      }
-      if (!graph)
-        throw std::invalid_argument("ScenarioService: unknown graph '" + job.spec.graph + "'");
-      job.result.values = graph(job.spec, ctx);
+    GraphFn graph;
+    {
+      std::lock_guard lock(graphs_mutex_);
+      const auto it = graphs_.find(job.spec.graph);
+      if (it != graphs_.end()) graph = it->second;
     }
+    if (!graph)
+      throw std::invalid_argument("ScenarioService: unknown graph '" + job.spec.graph + "'");
+    job.result.values = graph(job.spec, ctx);
     job.result.ok = true;
   } catch (const std::exception& e) {
     job.result.error = e.what();

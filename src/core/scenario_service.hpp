@@ -1,28 +1,27 @@
 // core::ScenarioService — persistent, re-entrant scenario executor over
-// shareable immutable artifacts (DESIGN.md "Scenario service").
-//
-// The service upgrades the batch-of-closures model (core::ScenarioRunner,
-// now a thin shim over this class) to a schema-first one:
-//  - Scenarios arrive as serializable core::ScenarioSpec values — a named
-//    solver graph plus flat parameter/load/boundary maps — not opaque
-//    std::function closures. Because a spec is data, the service
-//    content-hashes it and *deduplicates*: two submissions with equal
-//    content hashes resolve to one solve, the second submitter waits on
-//    the first's job (svc.dedup_hits). The memo persists for the service
-//    lifetime, so re-submitting a spec after its batch completed returns
-//    the memoized result without re-solving.
+// shareable immutable artifacts (DESIGN.md "Scenario service"). It is the
+// one way to submit work: every scenario is a core::ScenarioSpec.
+//  - A spec is serializable data — a named solver graph plus flat
+//    parameter/load/boundary maps — so the service content-hashes it and
+//    *deduplicates*: two submissions with equal content hashes resolve to
+//    one solve, the second submitter waits on the first's job
+//    (svc.dedup_hits). The memo persists for the service lifetime, so
+//    re-submitting a spec after its batch completed returns the memoized
+//    result without re-solving; a fresh service re-solves.
 //  - A keyed core::ArtifactCache sits under all workers. Each scenario's
 //    fresh ExecutionContext carries a pointer to it; registered solver
 //    graphs probe it for structurally-shared immutable artifacts (FV
 //    assemblies, modal factorizations, ROM models) keyed by structural
 //    hashes. Cache-hit solves are bitwise identical to cold solves at any
 //    worker count — the determinism contract the svc ctest tier gates,
-//    plain and under TSan.
+//    plain and under TSan. `cache.capacity_bytes = 0` is the no-cache
+//    baseline: every lookup misses and every artifact is built per solve.
 //
 // Execution model: `workers` persistent threads drain a FIFO queue. Every
 // scenario gets a fresh ExecutionContext (own pool, own registry) created,
 // bound, driven and destroyed on one worker thread, so per-scenario
-// telemetry comes back isolated exactly as it did from ScenarioRunner.
+// telemetry comes back isolated and no solve records into the process
+// registry.
 // Results are delivered through tickets; wait() blocks until that
 // scenario's job completes (which may have been computed for an earlier
 // duplicate submission).
@@ -48,16 +47,10 @@
 
 namespace aeropack::core {
 
-/// One opaque scenario: runs against the context it was handed (already
-/// bound to the calling thread) and returns named scalar outputs. Throwing
-/// marks the scenario failed without aborting the batch. Opaque scenarios
-/// cannot be deduplicated or artifact-keyed — prefer ScenarioSpec.
-using ScenarioFn = std::function<std::map<std::string, double>(ExecutionContext&)>;
-
 /// One registered solver graph: interprets a spec's params/loads/boundaries
 /// and returns named scalar outputs. Runs with the scenario's context bound
-/// to the calling thread; probes ctx.artifact_cache() (may be null) for
-/// shared artifacts.
+/// to the calling thread; ctx.artifact_cache() is the service's cache.
+/// Throwing marks the scenario failed without aborting the batch.
 using GraphFn =
     std::function<std::map<std::string, double>(const ScenarioSpec&, ExecutionContext&)>;
 
@@ -76,26 +69,20 @@ struct ScenarioResult {
 };
 
 struct ScenarioServiceOptions {
-  /// Persistent worker threads (0 throws std::invalid_argument — the same
-  /// validation convention as ScenarioRunner).
+  /// Persistent worker threads (0 throws std::invalid_argument).
   std::size_t workers = 1;
   /// Pool size handed to every scenario's context.
   std::size_t threads_per_scenario = 1;
   /// Arm each scenario's registry so results carry counters + gauges.
   bool telemetry = true;
-  /// Resolve content-hash-equal specs to a single solve.
-  bool deduplicate = true;
-  /// Hand every scenario context a pointer to the shared ArtifactCache.
-  /// Off = every solve builds from scratch (the ScenarioRunner
-  /// compatibility setting — keeps legacy per-scenario counters intact).
-  bool use_cache = true;
+  /// The shared artifact cache; capacity_bytes = 0 stores nothing.
   ArtifactCacheOptions cache;
 };
 
 /// Lifetime totals of the service itself (cache totals live in
 /// ArtifactCache::stats()).
 struct ScenarioServiceStats {
-  std::uint64_t submitted = 0;   ///< submit() calls, both kinds
+  std::uint64_t submitted = 0;   ///< submit() calls
   std::uint64_t executed = 0;    ///< scenarios actually solved
   std::uint64_t dedup_hits = 0;  ///< submissions resolved to an existing job
 };
@@ -131,14 +118,11 @@ class ScenarioService {
   void register_graph(std::string name, GraphFn fn);
   bool has_graph(const std::string& name) const;
 
-  /// Submit a spec. With deduplication on, a spec whose content hash
-  /// matches an earlier submission returns a ticket onto the existing job
-  /// (no new solve). An unknown spec.graph fails at execution with a
-  /// descriptive ScenarioResult::error, not here.
+  /// Submit a spec. A spec whose content hash matches an earlier
+  /// submission returns a ticket onto the existing job (no new solve). An
+  /// unknown spec.graph fails at execution with a descriptive
+  /// ScenarioResult::error, not here.
   Ticket submit(ScenarioSpec spec);
-  /// Submit an opaque closure (ScenarioRunner compatibility path): never
-  /// deduplicated, never artifact-keyed. Throws on an empty fn.
-  Ticket submit(std::string name, ScenarioFn fn);
 
   /// Block until the ticket's job completes; returns a copy of its result
   /// with the ticket's own name. Throws std::invalid_argument on a

@@ -15,8 +15,8 @@
 //    context without threading a handle through every call.
 //  - One context serves one driving thread at a time; distinct contexts on
 //    distinct threads are fully independent (no shared instruments, no
-//    shared task queue). This is the contract core::ScenarioRunner builds
-//    on.
+//    shared task queue). This is the contract core::ScenarioService
+//    builds on: one fresh context per scenario, on one worker thread.
 #pragma once
 
 #include <cstddef>
@@ -70,7 +70,7 @@ class ExecutionContext {
   /// defaults).
   const ExecutionConfig& config() const { return config_; }
   /// The shared artifact cache this context may consult, or nullptr when the
-  /// run is uncached (direct solves, the ScenarioRunner compatibility path).
+  /// run is uncached (direct solves outside core::ScenarioService).
   core::ArtifactCache* artifact_cache() const { return config_.artifact_cache; }
 
   /// RAII binding: while alive, the constructing thread's parallel kernels

@@ -264,7 +264,7 @@ TEST(FvMultigridSolves, CacheHitBitwiseEqualsColdSolve) {
                                                slab_spec(32, 2.0, 330.0)};
   // Cold: every solve assembles its own structure and hierarchy.
   ac::ScenarioServiceOptions cold_opts;
-  cold_opts.use_cache = false;
+  cold_opts.cache.capacity_bytes = 0;
   ac::ScenarioService cold(cold_opts);
   const std::vector<ac::ScenarioResult> want = cold.run(specs);
   // Cached: a priming solve builds the assembly, then two workers share it

@@ -1,96 +1,104 @@
-// Scenario-campaign fidelity swap: the same input vectors evaluated through
-// the compact model and through the full FV solve inside ScenarioRunner
-// must agree on port temperatures, and each scenario's isolated counter
-// profile must show which fidelity it ran (rom.steady_evals vs.
-// fv.steady_solves) — ROM evaluation swapped in per scenario, not per
-// process.
+// Scenario-campaign fidelity swap: the same input points evaluated through
+// the compact model ("rom_board_steady") and through the full FV solve (a
+// test graph over the same canonical board) inside one ScenarioService
+// batch must agree on port temperatures and heat flows, and each scenario's
+// isolated counter profile must show which fidelity it ran
+// (rom.steady_evals vs. fv.steady_solves) — ROM evaluation swapped in per
+// scenario, not per process.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "core/scenario_runner.hpp"
-#include "rom/campaign.hpp"
+#include "core/scenario_service.hpp"
 #include "rom/canonical.hpp"
+#include "rom/service_graphs.hpp"
 
 namespace ar = aeropack::rom;
 namespace ac = aeropack::core;
 
 namespace {
 
-ar::RomInputs sweep_point(double rail_k, double power_w) {
-  ar::RomInputs in;
-  in.sink_temperatures = {rail_k, rail_k + 5.0, 303.15};
-  in.map_powers = {power_w, 0.6 * power_w};
-  return in;
+/// Full-order counterpart of "rom_board_steady": same spec conventions
+/// (boundaries keyed by port, loads keyed by map) and output keys.
+std::map<std::string, double> board_full_order(const ac::ScenarioSpec& scenario,
+                                               aeropack::ExecutionContext& ctx) {
+  ar::CanonicalCase c = ar::fig2_board();
+  ar::RomInputs inputs;
+  for (const ar::RomPort& p : c.spec.ports)
+    inputs.sink_temperatures.push_back(scenario.boundaries.at(p.name));
+  for (const ar::RomPowerMap& m : c.spec.maps) inputs.map_powers.push_back(scenario.loads.at(m.name));
+  ar::apply_inputs(c.model, c.spec, inputs);
+  const aeropack::thermal::FvSolution sol = c.model.solve_steady(ctx);
+  const aeropack::numeric::Vector temps =
+      ar::port_surface_temperatures(c.model, c.spec, sol.temperatures);
+  const aeropack::numeric::Vector flows =
+      ar::port_heat_flows(c.model, c.spec, inputs, sol.temperatures);
+  std::map<std::string, double> out;
+  for (std::size_t p = 0; p < c.spec.ports.size(); ++p) {
+    out["t_" + c.spec.ports[p].name] = temps[p];
+    out["q_" + c.spec.ports[p].name] = flows[p];
+  }
+  return out;
+}
+
+ac::ScenarioSpec sweep_point(const std::string& name, const std::string& graph, double rail_k,
+                             double power_w) {
+  ac::ScenarioSpec spec;
+  spec.name = name;
+  spec.graph = graph;
+  spec.boundaries = {{"rail_left", rail_k}, {"rail_right", rail_k + 5.0}, {"top_air", 303.15}};
+  spec.loads = {{"cpu", power_w}, {"psu", 0.6 * power_w}};
+  return spec;
+}
+
+std::uint64_t counter_of(const ac::ScenarioResult& r, const std::string& key) {
+  const auto it = r.counters.find(key);
+  return it == r.counters.end() ? 0u : it->second;
 }
 
 }  // namespace
 
 TEST(RomCampaign, FidelitySwapAgreesAndCountsBothPaths) {
-  const ar::CanonicalCase c = ar::fig2_board();
-  const ar::RomModel rom = ar::build_rom(c.model, c.spec);
-
-  std::vector<ar::CampaignCase> cases;
-  cases.push_back({"p10.compact", sweep_point(313.15, 10.0), ar::Fidelity::Compact});
-  cases.push_back({"p10.full", sweep_point(313.15, 10.0), ar::Fidelity::FullOrder});
-  cases.push_back({"p25.compact", sweep_point(318.15, 25.0), ar::Fidelity::Compact});
-  cases.push_back({"p25.full", sweep_point(318.15, 25.0), ar::Fidelity::FullOrder});
-
-  ac::ScenarioRunnerOptions opts;
+  ac::ScenarioServiceOptions opts;
   opts.workers = 2;
-  opts.threads_per_scenario = 1;
-  opts.telemetry = true;
-  ac::ScenarioRunner runner(opts);
-  ar::add_campaign(runner, c.model, c.spec, rom, cases);
+  ac::ScenarioService service(opts);
+  ar::register_rom_graphs(service);
+  service.register_graph("board_full_order", board_full_order);
 
-  const auto results = runner.run();
-  ASSERT_EQ(results.size(), cases.size());
+  // Build the compact model once (cached by structure), so the compact
+  // scenarios below only evaluate it.
+  const auto warm = service.run({sweep_point("warm", "rom_board_steady", 300.0, 1.0)});
+  ASSERT_TRUE(warm[0].ok) << warm[0].error;
+
+  const std::vector<ac::ScenarioResult> results =
+      service.run({sweep_point("p10.compact", "rom_board_steady", 313.15, 10.0),
+                   sweep_point("p10.full", "board_full_order", 313.15, 10.0),
+                   sweep_point("p25.compact", "rom_board_steady", 318.15, 25.0),
+                   sweep_point("p25.full", "board_full_order", 318.15, 25.0)});
+  ASSERT_EQ(results.size(), 4u);
   for (const auto& r : results) ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
 
   // Compact and full-order runs of the same point agree at ROM accuracy.
   for (std::size_t pair = 0; pair < 2; ++pair) {
     const auto& compact = results[2 * pair];
     const auto& full = results[2 * pair + 1];
-    EXPECT_EQ(compact.values.at("full_order"), 0.0);
-    EXPECT_EQ(full.values.at("full_order"), 1.0);
+    ASSERT_EQ(full.values.size(), 6u);
     for (const auto& [key, value] : full.values) {
-      if (key.rfind("T.", 0) != 0) continue;
-      EXPECT_NEAR(compact.values.at(key), value, 0.05) << compact.name << " " << key;
-    }
-    // Heat flows agree to a fraction of the dissipated power.
-    for (const auto& [key, value] : full.values) {
-      if (key.rfind("Q.", 0) != 0) continue;
-      EXPECT_NEAR(compact.values.at(key), value, 0.2) << compact.name << " " << key;
+      // Heat flows agree to a fraction of the dissipated power.
+      const double tol = key.rfind("t_", 0) == 0 ? 0.05 : 0.2;
+      EXPECT_NEAR(compact.values.at(key), value, tol) << compact.name << " " << key;
     }
   }
 
   // Isolated per-scenario counters prove which path each scenario took.
-  for (const auto& r : results) {
-    const bool full = r.values.at("full_order") == 1.0;
-    const auto rom_evals = r.counters.find("rom.steady_evals");
-    const auto fv_solves = r.counters.find("fv.steady_solves");
-    if (full) {
-      ASSERT_NE(fv_solves, r.counters.end()) << r.name;
-      EXPECT_GE(fv_solves->second, 1u) << r.name;
-      EXPECT_TRUE(rom_evals == r.counters.end() || rom_evals->second == 0u) << r.name;
-    } else {
-      ASSERT_NE(rom_evals, r.counters.end()) << r.name;
-      EXPECT_EQ(rom_evals->second, 1u) << r.name;
-      EXPECT_TRUE(fv_solves == r.counters.end() || fv_solves->second == 0u) << r.name;
-    }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const bool full = i % 2 == 1;
+    EXPECT_EQ(counter_of(results[i], "rom.steady_evals"), full ? 0u : 1u) << results[i].name;
+    if (full)
+      EXPECT_GE(counter_of(results[i], "fv.steady_solves"), 1u) << results[i].name;
+    else
+      EXPECT_EQ(counter_of(results[i], "fv.steady_solves"), 0u) << results[i].name;
   }
-}
-
-TEST(RomCampaign, RejectsMismatchedInputsAtQueueTime) {
-  const ar::CanonicalCase c = ar::fig2_board();
-  const ar::RomModel rom = ar::build_rom(c.model, c.spec);
-  ac::ScenarioRunner runner;
-  ar::RomInputs bad;
-  bad.sink_temperatures = {300.0};  // 1 of 3
-  bad.map_powers = {1.0, 1.0};
-  EXPECT_THROW(
-      ar::add_campaign(runner, c.model, c.spec, rom, {{"bad", bad, ar::Fidelity::Compact}}),
-      std::invalid_argument);
-  EXPECT_EQ(runner.scenario_count(), 0u);
 }

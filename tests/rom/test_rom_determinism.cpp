@@ -101,7 +101,7 @@ TEST(RomDeterminism, EvaluationBitIdenticalAcrossThreadCounts) {
 TEST(RomDeterminism, ContextPinnedBuildMatchesProcessPool) {
   // Building inside an ExecutionContext (own pool, own registry) must give
   // the exact same compact model as the process-default path — this is what
-  // lets ScenarioRunner campaigns mix ROM builds into isolated scenarios.
+  // lets scenario-service campaigns mix ROM builds into isolated scenarios.
   ThreadCountGuard guard;
   const ar::CanonicalCase c = ar::seb_box();
   an::set_thread_count(1);

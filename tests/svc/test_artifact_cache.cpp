@@ -57,8 +57,11 @@ TEST(ArtifactCache, ZeroCapacityStoresNothing) {
   opts.capacity_bytes = 0;
   ac::ArtifactCache cache(opts);
   cache.insert<Blob>(1, std::make_shared<const Blob>(), 16);
+  cache.insert<Blob>(2, std::make_shared<const Blob>(), 0);  // zero cost still fits nowhere
   EXPECT_EQ(cache.find<Blob>(1), nullptr);
+  EXPECT_EQ(cache.find<Blob>(2), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
 TEST(ArtifactCache, EvictsLowestUtilityWhenOverCapacity) {

@@ -149,10 +149,12 @@ TEST(ArtifactReuse, RomCachedModelEvaluatesBitIdenticalToCold) {
 
 // ---- service-level gates: cold vs hit through the full stack ------------
 
-// Run the same mixed batch twice through one service (dedup off, so the
-// second pass re-executes every scenario against a warm cache) and a third
-// time through a cache-less service. All three must agree to the bit, at
-// every threads-per-scenario count.
+// Run a mixed batch through one service (cold builds), then a moved copy of
+// it through the same service: every moved spec has a new content hash, so
+// dedup cannot answer it, but sits on an already-cached structure, so it
+// solves against a warm cache. A zero-capacity service solves both batches
+// from scratch. Cold, hit and uncached must agree to the bit, at every
+// threads-per-scenario count.
 void expect_cold_equals_hit(std::size_t threads_per_scenario, std::size_t workers) {
   std::vector<ac::ScenarioSpec> specs;
   {
@@ -184,33 +186,48 @@ void expect_cold_equals_hit(std::size_t threads_per_scenario, std::size_t worker
     specs.push_back(rom);
   }
 
+  std::vector<ac::ScenarioSpec> moved = specs;
+  for (ac::ScenarioSpec& spec : moved) {
+    spec.name += "_moved";
+    if (spec.graph == "modal_plate")
+      spec.params["mass_x"] += 0.01;  // M only: same K, same factorization
+    else
+      for (auto& [key, load] : spec.loads) load += 0.5;
+  }
+
   ac::ScenarioServiceOptions cached_opts;
   cached_opts.workers = workers;
   cached_opts.threads_per_scenario = threads_per_scenario;
-  cached_opts.deduplicate = false;  // make the second pass re-execute
   ac::ScenarioService cached(cached_opts);
   ar::register_rom_graphs(cached);
   const std::vector<ac::ScenarioResult> cold = cached.run(specs);
-  const std::vector<ac::ScenarioResult> warm = cached.run(specs);
-  EXPECT_GT(cached.cache().stats().hits, 0u) << "second pass never hit the cache";
+  const std::uint64_t hits_before = cached.cache().stats().hits;
+  const std::vector<ac::ScenarioResult> warm = cached.run(moved);
+  EXPECT_EQ(cached.stats().dedup_hits, 0u);
+  EXPECT_EQ(cached.cache().stats().hits - hits_before, moved.size())
+      << "moved batch missed the warm cache";
 
   ac::ScenarioServiceOptions plain_opts = cached_opts;
-  plain_opts.use_cache = false;
+  plain_opts.cache.capacity_bytes = 0;
   ac::ScenarioService uncached(plain_opts);
   ar::register_rom_graphs(uncached);
   const std::vector<ac::ScenarioResult> reference = uncached.run(specs);
+  const std::vector<ac::ScenarioResult> moved_reference = uncached.run(moved);
+  EXPECT_EQ(uncached.cache().stats().hits, 0u);
 
-  ASSERT_EQ(cold.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_TRUE(cold[i].ok) << cold[i].name << ": " << cold[i].error;
-    ASSERT_TRUE(warm[i].ok) << warm[i].name << ": " << warm[i].error;
-    ASSERT_TRUE(reference[i].ok) << reference[i].name << ": " << reference[i].error;
-    ASSERT_EQ(cold[i].values.size(), reference[i].values.size()) << cold[i].name;
-    for (const auto& [key, value] : reference[i].values) {
-      EXPECT_EQ(cold[i].values.at(key), value) << cold[i].name << "." << key << " (cold)";
-      EXPECT_EQ(warm[i].values.at(key), value) << warm[i].name << "." << key << " (hit)";
+  const auto expect_bitwise = [](const std::vector<ac::ScenarioResult>& got,
+                                 const std::vector<ac::ScenarioResult>& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i].ok) << got[i].name << ": " << got[i].error;
+      ASSERT_TRUE(want[i].ok) << want[i].name << ": " << want[i].error;
+      ASSERT_EQ(got[i].values.size(), want[i].values.size()) << got[i].name;
+      for (const auto& [key, value] : want[i].values)
+        EXPECT_EQ(got[i].values.at(key), value) << got[i].name << "." << key << " (" << what << ")";
     }
-  }
+  };
+  expect_bitwise(cold, reference, "cold");
+  expect_bitwise(warm, moved_reference, "hit");
 }
 
 TEST(ArtifactReuse, ServiceCacheHitsBitIdenticalAt1Thread) { expect_cold_equals_hit(1, 1); }

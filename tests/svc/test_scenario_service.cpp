@@ -1,10 +1,11 @@
 // core::ScenarioService — submission/dedup/wait semantics, graph registry,
-// error capture, telemetry capture (counters + gauges) and the options
-// validation conventions shared with ScenarioRunner.
+// error capture, telemetry capture (counters + gauges), boundary validation
+// of graph params and options validation.
 #include "core/scenario_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "rom/service_graphs.hpp"
@@ -21,15 +22,26 @@ ac::ScenarioSpec seb_spec(const std::string& name, double power_w) {
   return spec;
 }
 
+ac::ScenarioSpec slab_spec(const std::string& name, double power_w) {
+  ac::ScenarioSpec spec;
+  spec.name = name;
+  spec.graph = "fv_slab_steady";
+  spec.loads = {{"power_w", power_w}};
+  return spec;
+}
+
+ac::ScenarioSpec modal_spec(const std::string& name, double mass_x) {
+  ac::ScenarioSpec spec;
+  spec.name = name;
+  spec.graph = "modal_plate";
+  spec.params = {{"mass_x", mass_x}};
+  return spec;
+}
+
 TEST(ScenarioService, ZeroWorkersThrows) {
   ac::ScenarioServiceOptions opts;
   opts.workers = 0;
   EXPECT_THROW(ac::ScenarioService service(opts), std::invalid_argument);
-}
-
-TEST(ScenarioService, EmptyOpaqueScenarioThrows) {
-  ac::ScenarioService service;
-  EXPECT_THROW(service.submit("nothing", ac::ScenarioFn{}), std::invalid_argument);
 }
 
 TEST(ScenarioService, WaitOnDefaultTicketThrows) {
@@ -98,16 +110,6 @@ TEST(ScenarioService, MemoPersistsAcrossBatches) {
   EXPECT_EQ(s.dedup_hits, 1u);
 }
 
-TEST(ScenarioService, DedupOffRunsEverySubmission) {
-  ac::ScenarioServiceOptions opts;
-  opts.deduplicate = false;
-  ac::ScenarioService service(opts);
-  service.run({seb_spec("a", 60.0), seb_spec("b", 60.0)});
-  const ac::ScenarioServiceStats s = service.stats();
-  EXPECT_EQ(s.executed, 2u);
-  EXPECT_EQ(s.dedup_hits, 0u);
-}
-
 TEST(ScenarioService, ResultsCarryCountersAndGauges) {
   ac::ScenarioService service;
   ac::ScenarioSpec spec;
@@ -130,6 +132,26 @@ TEST(ScenarioService, TelemetryOffLeavesProfilesEmpty) {
   ASSERT_TRUE(results[0].ok);
   EXPECT_TRUE(results[0].counters.empty());
   EXPECT_TRUE(results[0].gauges.empty());
+}
+
+TEST(ScenarioService, IndexParamsMustBeIntegers) {
+  // nx = 2.5 would solve as nx = 2 yet hash apart from it; NaN has no
+  // integer value at all. Both fail the scenario, naming key and value.
+  ac::ScenarioService service;
+  ac::ScenarioSpec nan_nx = slab_spec("nan_nx", 5.0);
+  nan_nx.params = {{"nx", std::numeric_limits<double>::quiet_NaN()}};
+  ac::ScenarioSpec half_ny = slab_spec("half_ny", 5.0);
+  half_ny.params = {{"ny", 2.5}};
+  ac::ScenarioSpec zero_modes = modal_spec("zero_modes", 0.05);
+  zero_modes.params["n_modes"] = 0.0;
+  const auto results = service.run({nan_nx, half_ny, zero_modes});
+  ASSERT_EQ(results.size(), 3u);
+  for (const ac::ScenarioResult& r : results) EXPECT_FALSE(r.ok) << r.name;
+  EXPECT_NE(results[0].error.find("'nx'"), std::string::npos) << results[0].error;
+  EXPECT_NE(results[0].error.find("nan"), std::string::npos) << results[0].error;
+  EXPECT_NE(results[1].error.find("'ny'"), std::string::npos) << results[1].error;
+  EXPECT_NE(results[1].error.find("2.5"), std::string::npos) << results[1].error;
+  EXPECT_NE(results[2].error.find("'n_modes'"), std::string::npos) << results[2].error;
 }
 
 TEST(ScenarioService, RegisteredGraphRunsAndValidates) {
