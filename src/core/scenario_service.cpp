@@ -64,7 +64,7 @@ std::map<std::string, double> fv_slab_steady(const ScenarioSpec& spec, Execution
 
   const at::FvOptions fv_opts;
   const auto assembly = ctx.artifact_cache()->get_or_build<at::FvAssembly>(
-      slab.structural_hash(fv_opts, 0.0), [&] { return slab.build_assembly(fv_opts, 0.0); },
+      slab.structural_hash(fv_opts), [&] { return slab.build_assembly(fv_opts); },
       [](const at::FvAssembly& a) { return a.cost_bytes(); });
   const at::FvSolution sol = slab.solve_steady(assembly, fv_opts);
   return {{"t_max", sol.max_temperature},

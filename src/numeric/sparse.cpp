@@ -188,16 +188,6 @@ Vector jacobi_preconditioner(const Op& a) {
   return inv_d;
 }
 
-void hadamard(ThreadPool& pool, const Vector& a, const Vector& b, Vector& out) {
-  parallel_for(pool, 0, a.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
-  });
-}
-
-void hadamard(const Vector& a, const Vector& b, Vector& out) {
-  hadamard(current_pool(), a, b, out);
-}
-
 /// The CG iteration, written once for both operator types. `mg` is only
 /// ever non-null for a stencil: the hierarchy is built on its grid.
 template <typename Op>
@@ -321,66 +311,6 @@ IterativeResult conjugate_gradient(ThreadPool& pool, const StencilView& a, const
                                    const IterativeOptions& opts, const Vector* x0,
                                    Multigrid* mg) {
   return counted_cg(pool, a, b, opts, x0, mg);
-}
-
-IterativeResult bicgstab(const CsrMatrix& a, const Vector& b, const IterativeOptions& opts) {
-  if (a.rows() != a.cols() || b.size() != a.rows())
-    throw std::invalid_argument("bicgstab: shape mismatch");
-  const std::size_t n = b.size();
-  IterativeResult res;
-  res.x.assign(n, 0.0);
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    res.converged = true;
-    return res;
-  }
-  const Vector inv_d = jacobi_preconditioner(a);
-  Vector r = b;
-  Vector r0 = r;
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  Vector v(n, 0.0), p(n, 0.0), phat(n), shat(n);
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    const double rho_new = dot(r0, r);
-    if (rho_new == 0.0) break;
-    if (it == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    rho = rho_new;
-    hadamard(inv_d, p, phat);
-    v = a.multiply(phat);
-    const double r0v = dot(r0, v);
-    if (r0v == 0.0) break;
-    alpha = rho / r0v;
-    Vector s = r;
-    axpy(-alpha, v, s);
-    if (norm2(s) / bnorm < opts.tolerance) {
-      axpy(alpha, phat, res.x);
-      res.iterations = it + 1;
-      res.residual = norm2(s) / bnorm;
-      res.converged = true;
-      return res;
-    }
-    hadamard(inv_d, s, shat);
-    const Vector t = a.multiply(shat);
-    const double tt = dot(t, t);
-    if (tt == 0.0) break;
-    omega = dot(t, s) / tt;
-    axpy(alpha, phat, res.x);
-    axpy(omega, shat, res.x);
-    r = s;
-    axpy(-omega, t, r);
-    res.iterations = it + 1;
-    res.residual = norm2(r) / bnorm;
-    if (res.residual < opts.tolerance) {
-      res.converged = true;
-      return res;
-    }
-    if (omega == 0.0) break;
-  }
-  return res;
 }
 
 }  // namespace aeropack::numeric

@@ -132,7 +132,4 @@ IterativeResult conjugate_gradient(ThreadPool& pool, const StencilView& a, const
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr, Multigrid* mg = nullptr);
 
-/// BiCGSTAB for general nonsymmetric systems (Jacobi preconditioned).
-IterativeResult bicgstab(const CsrMatrix& a, const Vector& b, const IterativeOptions& opts = {});
-
 }  // namespace aeropack::numeric

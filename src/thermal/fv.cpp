@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/transient_engine.hpp"
 #include "exec/context.hpp"
@@ -15,6 +17,20 @@ namespace aeropack::thermal {
 
 using numeric::Vector;
 
+// --- Input validation ----------------------------------------------------------
+
+namespace {
+// Reject a non-finite model input where it enters, naming the input and its
+// value: NaN passes every `<= 0` range check and would otherwise surface
+// only as CG running to its iteration limit.
+void require_finite(const char* where, const char* what, double v) {
+  if (std::isfinite(v)) return;
+  char value[32];
+  std::snprintf(value, sizeof value, "%.17g", v);
+  throw std::invalid_argument(std::string(where) + ": " + what + " must be finite, got " + value);
+}
+}  // namespace
+
 // --- FvGrid -----------------------------------------------------------------
 
 FvGrid::FvGrid(Vector dx, Vector dy, Vector dz)
@@ -22,8 +38,10 @@ FvGrid::FvGrid(Vector dx, Vector dy, Vector dz)
   if (dx_.empty() || dy_.empty() || dz_.empty())
     throw std::invalid_argument("FvGrid: empty axis");
   for (const Vector* v : {&dx_, &dy_, &dz_})
-    for (double d : *v)
+    for (double d : *v) {
+      require_finite("FvGrid", "cell size", d);
       if (d <= 0.0) throw std::invalid_argument("FvGrid: cell sizes must be positive");
+    }
 }
 
 FvGrid FvGrid::uniform(double lx, double ly, double lz, std::size_t nx, std::size_t ny,
@@ -56,12 +74,15 @@ double FvGrid::lz() const { return std::accumulate(dz_.begin(), dz_.end(), 0.0);
 // --- BoundaryCondition factories ---------------------------------------------
 
 BoundaryCondition BoundaryCondition::fixed(double t_k) {
+  require_finite("BoundaryCondition::fixed", "temperature", t_k);
   BoundaryCondition bc;
   bc.kind = BoundaryKind::FixedTemperature;
   bc.temperature = t_k;
   return bc;
 }
 BoundaryCondition BoundaryCondition::convection(double h, double t_k) {
+  require_finite("BoundaryCondition::convection", "h", h);
+  require_finite("BoundaryCondition::convection", "temperature", t_k);
   if (h <= 0.0) throw std::invalid_argument("BoundaryCondition::convection: h must be > 0");
   BoundaryCondition bc;
   bc.kind = BoundaryKind::Convection;
@@ -71,6 +92,9 @@ BoundaryCondition BoundaryCondition::convection(double h, double t_k) {
 }
 BoundaryCondition BoundaryCondition::convection_radiation(double h, double t_k,
                                                           double emissivity) {
+  require_finite("BoundaryCondition::convection_radiation", "h", h);
+  require_finite("BoundaryCondition::convection_radiation", "temperature", t_k);
+  require_finite("BoundaryCondition::convection_radiation", "emissivity", emissivity);
   BoundaryCondition bc;
   bc.kind = BoundaryKind::ConvectionRadiation;
   bc.h = h;
@@ -80,6 +104,9 @@ BoundaryCondition BoundaryCondition::convection_radiation(double h, double t_k,
 }
 BoundaryCondition BoundaryCondition::natural(SurfaceOrientation o, double length, double t_k,
                                              double pressure) {
+  require_finite("BoundaryCondition::natural", "length", length);
+  require_finite("BoundaryCondition::natural", "temperature", t_k);
+  require_finite("BoundaryCondition::natural", "pressure", pressure);
   BoundaryCondition bc;
   bc.kind = BoundaryKind::NaturalConvection;
   bc.orientation = o;
@@ -89,6 +116,7 @@ BoundaryCondition BoundaryCondition::natural(SurfaceOrientation o, double length
   return bc;
 }
 BoundaryCondition BoundaryCondition::heat_flux(double flux) {
+  require_finite("BoundaryCondition::heat_flux", "flux", flux);
   BoundaryCondition bc;
   bc.kind = BoundaryKind::HeatFlux;
   bc.flux = flux;
@@ -126,6 +154,10 @@ void FvModel::set_material(const materials::SolidMaterial& m) { set_material(all
 
 void FvModel::set_material(const CellRange& r, const materials::SolidMaterial& m) {
   check_range(r);
+  require_finite("set_material", "conductivity", m.conductivity);
+  require_finite("set_material", "conductivity_through", m.conductivity_through);
+  require_finite("set_material", "density", m.density);
+  require_finite("set_material", "specific_heat", m.specific_heat);
   for (std::size_t k = r.k0; k < r.k1; ++k)
     for (std::size_t j = r.j0; j < r.j1; ++j)
       for (std::size_t i = r.i0; i < r.i1; ++i) {
@@ -139,6 +171,9 @@ void FvModel::set_material(const CellRange& r, const materials::SolidMaterial& m
 
 void FvModel::set_conductivity(const CellRange& r, double kx, double ky, double kz) {
   check_range(r);
+  require_finite("set_conductivity", "kx", kx);
+  require_finite("set_conductivity", "ky", ky);
+  require_finite("set_conductivity", "kz", kz);
   if (kx <= 0.0 || ky <= 0.0 || kz <= 0.0)
     throw std::invalid_argument("set_conductivity: conductivities must be positive");
   for (std::size_t k = r.k0; k < r.k1; ++k)
@@ -154,6 +189,7 @@ void FvModel::set_conductivity(const CellRange& r, double kx, double ky, double 
 void FvModel::add_interface_z(std::size_t k_plane, double specific_resistance) {
   if (k_plane + 1 >= grid_.nz())
     throw std::out_of_range("add_interface_z: plane outside the grid");
+  require_finite("add_interface_z", "resistance", specific_resistance);
   if (specific_resistance <= 0.0)
     throw std::invalid_argument("add_interface_z: resistance must be > 0");
   interfaces_z_.emplace_back(k_plane, specific_resistance);
@@ -161,6 +197,7 @@ void FvModel::add_interface_z(std::size_t k_plane, double specific_resistance) {
 
 void FvModel::add_power(const CellRange& r, double watts) {
   check_range(r);
+  require_finite("add_power", "watts", watts);
   double vol = 0.0;
   for (std::size_t k = r.k0; k < r.k1; ++k)
     for (std::size_t j = r.j0; j < r.j1; ++j)
@@ -172,12 +209,17 @@ void FvModel::add_power(const CellRange& r, double watts) {
 }
 
 void FvModel::add_power_density(const std::function<double(double, double, double)>& qv) {
+  // Evaluate every cell before touching the sources, so a rejected field
+  // leaves the model unchanged.
+  Vector added(grid_.cell_count());
   for (std::size_t k = 0; k < grid_.nz(); ++k)
     for (std::size_t j = 0; j < grid_.ny(); ++j)
-      for (std::size_t i = 0; i < grid_.nx(); ++i)
-        source_[grid_.index(i, j, k)] +=
-            qv(grid_.x_center(i), grid_.y_center(j), grid_.z_center(k)) *
-            grid_.cell_volume(i, j, k);
+      for (std::size_t i = 0; i < grid_.nx(); ++i) {
+        const double q = qv(grid_.x_center(i), grid_.y_center(j), grid_.z_center(k));
+        require_finite("add_power_density", "power density", q);
+        added[grid_.index(i, j, k)] = q * grid_.cell_volume(i, j, k);
+      }
+  for (std::size_t c = 0; c < added.size(); ++c) source_[c] += added[c];
 }
 
 void FvModel::clear_power() { std::fill(source_.begin(), source_.end(), 0.0); }
@@ -347,11 +389,10 @@ static void for_each_boundary_face(const FvGrid& g, const Vector& kx, const Vect
 }
 
 std::size_t FvAssembly::cost_bytes() const {
-  return sizeof(FvAssembly) + stencil.bytes() + capacity.size() * sizeof(double) +
-         mg_levels.size() * sizeof(numeric::GridShape);
+  return sizeof(FvAssembly) + stencil.bytes() + mg_levels.size() * sizeof(numeric::GridShape);
 }
 
-std::uint64_t FvModel::structural_hash(const FvOptions& opts, double inv_dt) const {
+std::uint64_t FvModel::structural_hash(const FvOptions& opts) const {
   numeric::StructuralHasher h;
   h.add("thermal.fv_assembly");
   // Grid geometry as exact cell-size bits.
@@ -368,12 +409,10 @@ std::uint64_t FvModel::structural_hash(const FvOptions& opts, double inv_dt) con
   for (const auto& [plane, r_spec] : interfaces_z_)
     h.add(static_cast<std::uint64_t>(plane)).add(r_spec);
   h.add(static_cast<std::uint64_t>(opts.scheme));
-  h.add(inv_dt);
   return h.value();
 }
 
-std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
-                                                          double inv_dt) const {
+std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts) const {
   static thread_local obs::CounterHandle assemblies{"fv.structure_assemblies"};
   assemblies.add();
   obs::ScopedTimer span("fv.assemble_structure");
@@ -382,17 +421,7 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
   const std::size_t sxy = nx * ny;
 
   auto cache = std::make_shared<FvAssembly>();
-  cache->inv_dt = inv_dt;
-  cache->structural_hash = structural_hash(opts, inv_dt);
-  if (inv_dt > 0.0) {
-    cache->capacity.assign(n, 0.0);
-    for (std::size_t k = 0; k < nz; ++k)
-      for (std::size_t j = 0; j < ny; ++j)
-        for (std::size_t i = 0; i < nx; ++i) {
-          const std::size_t c = grid_.index(i, j, k);
-          cache->capacity[c] = rho_cp_[c] * grid_.cell_volume(i, j, k) * inv_dt;
-        }
-  }
+  cache->structural_hash = structural_hash(opts);
 
   // Couplings: minus the face conductance to the +x/+y/+z neighbour,
   // temperature-independent, computed exactly once per face. The range is
@@ -415,10 +444,10 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
     if (j + 1 < ny) st.wy[c] = -face_conductance_y(j, j + 1, i, k, opts.scheme);
     if (k + 1 < nz) st.wz[c] = -face_conductance_z(k, k + 1, i, j, opts.scheme);
   });
-  // Diagonal: capacity/dt plus the conductances of every neighbour, summed
-  // in the stencil's row order (-z, -y, -x, +x, +y, +z).
+  // Diagonal: the conductances of every neighbour, summed in the stencil's
+  // row order (-z, -y, -x, +x, +y, +z).
   per_plane([&](std::size_t c, std::size_t i, std::size_t j, std::size_t k) {
-    double diag = cache->capacity.empty() ? 0.0 : cache->capacity[c];
+    double diag = 0.0;
     if (k > 0) diag -= st.wz[c - sxy];
     if (j > 0) diag -= st.wy[c - nx];
     if (i > 0) diag -= st.wx[c - 1];
@@ -431,25 +460,6 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
   return cache;
 }
 
-numeric::Vector FvModel::build_base_rhs() const {
-  // Static right-hand side: volumetric sources + prescribed boundary fluxes.
-  Vector base_rhs = source_;
-  for_each_boundary_face(grid_, kx_, ky_, kz_, [&](const BoundaryFaceView& f) {
-    const BoundaryCondition& bc = boundary_for(f.face, f.a, f.b);
-    if (bc.kind == BoundaryKind::HeatFlux)
-      base_rhs[grid_.index(f.i, f.j, f.k)] += bc.flux * f.area;
-  });
-  return base_rhs;
-}
-
-FvModel::Workspace FvModel::make_workspace(std::shared_ptr<const FvAssembly> assembly) const {
-  Workspace ws;
-  ws.diag = assembly->stencil.diag;  // private copy; the shared artifact stays immutable
-  ws.base_rhs = build_base_rhs();
-  ws.assembly = std::move(assembly);
-  return ws;
-}
-
 numeric::IterativeResult FvModel::Workspace::solve(const Vector& rhs,
                                                    const numeric::IterativeOptions& opts,
                                                    const Vector* x0) {
@@ -459,51 +469,30 @@ numeric::IterativeResult FvModel::Workspace::solve(const Vector& rhs,
   return numeric::conjugate_gradient(op(), rhs, opts, x0, mg ? &*mg : nullptr);
 }
 
-void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
-                                    const Vector* prev, Vector& rhs) const {
+void FvModel::update_system(Workspace& ws, const Vector& temps, Vector& rhs,
+                            const Vector* capacity, double inv_dt, double t,
+                            const FvDrive* drive) const {
   static thread_local obs::CounterHandle updates{"fv.boundary_updates"};
   updates.add();
   obs::ScopedTimer span("fv.update_boundary");
-  const FvAssembly& a = *ws.assembly;
   Vector& diag = ws.diag;
-  diag = a.stencil.diag;
-  rhs = ws.base_rhs;
-  if (!a.capacity.empty() && prev) {
-    numeric::parallel_for(0, rhs.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) rhs[c] += a.capacity[c] * (*prev)[c];
-    });
-  }
-  // Boundary films are the only temperature-dependent coefficients; the
-  // surface is O(n^(2/3)) so this per-pass rewrite is cheap.
-  for_each_boundary_face(grid_, kx_, ky_, kz_, [&](const BoundaryFaceView& f) {
-    const BoundaryCondition& bc = boundary_for(f.face, f.a, f.b);
-    if (bc.kind == BoundaryKind::HeatFlux) return;  // already in base_rhs
-    const std::size_t c = grid_.index(f.i, f.j, f.k);
-    const double g = boundary_conductance(bc, f.area, f.half, f.k_cell, temps[c]);
-    if (g <= 0.0) return;
-    diag[c] += g;
-    rhs[c] += g * bc.temperature;
-  });
-}
-
-void FvModel::update_driven_terms(Workspace& ws, const Vector& temps, const Vector& prev,
-                                  const Vector& capacity, double inv_dt, double t,
-                                  const FvDrive* drive, Vector& rhs) const {
-  static thread_local obs::CounterHandle updates{"fv.boundary_updates"};
-  updates.add();
-  obs::ScopedTimer span("fv.update_boundary");
-  const FvAssembly& a = *ws.assembly;
-  Vector& diag = ws.diag;
-  diag = a.stencil.diag;
-  // The workspace is steady (no baked capacity): the implicit-Euler terms
-  // join per step, so the same shared assembly serves every step size.
+  diag = ws.assembly->stencil.diag;
+  rhs.resize(diag.size());
+  // The assembly holds no capacity: an implicit-Euler step joins its
+  // capacity/dt terms here, so one shared assembly serves every step size.
   const double ps = (drive && drive->power_scale) ? drive->power_scale(t) : 1.0;
   numeric::parallel_for(0, rhs.size(), [&](std::size_t lo, std::size_t hi) {
+    if (!capacity) {
+      for (std::size_t c = lo; c < hi; ++c) rhs[c] = ps * source_[c];
+      return;
+    }
     for (std::size_t c = lo; c < hi; ++c) {
-      diag[c] += capacity[c] * inv_dt;
-      rhs[c] = ps * source_[c] + capacity[c] * inv_dt * prev[c];
+      diag[c] += (*capacity)[c] * inv_dt;
+      rhs[c] = ps * source_[c] + (*capacity)[c] * inv_dt * temps[c];
     }
   });
+  // Boundary films are the only temperature-dependent coefficients; the
+  // surface is O(n^(2/3)) so this per-pass rewrite is cheap.
   for_each_boundary_face(grid_, kx_, ky_, kz_, [&](const BoundaryFaceView& f) {
     const BoundaryCondition& stored = boundary_for(f.face, f.a, f.b);
     const BoundaryCondition bc =
@@ -526,17 +515,15 @@ FvTransientStepper::FvTransientStepper(const FvModel& model, const FvOptions& op
                                        std::shared_ptr<const FvAssembly> assembly)
     : model_(&model), opts_(opts) {
   if (!assembly) {
-    assembly = model.build_assembly(opts, 0.0);
+    assembly = model.build_assembly(opts);
     structure_assemblies_ = 1;
-  } else if (assembly->inv_dt != 0.0 ||
-             assembly->structural_hash != model.structural_hash(opts, 0.0)) {
+  } else if (assembly->structural_hash != model.structural_hash(opts)) {
     throw std::invalid_argument(
         "FvTransientStepper: shared assembly does not match this model "
-        "(must be steady and structurally identical)");
+        "(structural hash differs)");
   }
-  ws_ = model.make_workspace(std::move(assembly));
+  ws_.assembly = std::move(assembly);
   capacity_ = model.cell_capacities();
-  rhs_.assign(model.grid().cell_count(), 0.0);
 }
 
 std::size_t FvTransientStepper::step(Vector& temps, double t_next, double dt,
@@ -545,7 +532,7 @@ std::size_t FvTransientStepper::step(Vector& temps, double t_next, double dt,
   core::check_state_size("FvTransientStepper::step", temps.size(), capacity_.size());
   static thread_local obs::CounterHandle transient_steps{"fv.transient_steps"};
   static thread_local obs::CounterHandle warmstart_hits{"fv.warmstart_hits"};
-  model_->update_driven_terms(ws_, temps, temps, capacity_, 1.0 / dt, t_next, drive, rhs_);
+  model_->update_system(ws_, temps, rhs_, &capacity_, 1.0 / dt, t_next, drive);
   const auto lin = ws_.solve(rhs_, opts_.linear, &temps);
   if (!lin.converged)
     throw std::runtime_error("FvTransientStepper::step: linear solver failed");
@@ -577,12 +564,13 @@ LinearSteadySystem FvModel::linearize_steady(const FvOptions& opts) const {
         "conditions (ConvectionRadiation / NaturalConvection); only linear "
         "boundaries admit a single constant operator");
 
-  Workspace ws = make_workspace(build_assembly(opts, 0.0));
+  Workspace ws;
+  ws.assembly = build_assembly(opts);
   LinearSteadySystem sys;
   // All boundary conductances are temperature-independent here, so the
-  // iterate passed to the boundary rewrite is arbitrary.
+  // iterate passed to the system rewrite is arbitrary.
   const Vector temps(grid_.cell_count(), 0.0);
-  update_boundary_terms(ws, temps, nullptr, sys.rhs);
+  update_system(ws, temps, sys.rhs);
   sys.matrix = ws.op().to_csr();
   return sys;
 }
@@ -661,21 +649,21 @@ FvSolution FvModel::solve_steady_impl(const FvOptions& opts,
   // skips the structural pass entirely (cache-hit path) — the workspace
   // copies the diagonal so the shared artifact stays immutable.
   if (!assembly) {
-    assembly = build_assembly(opts, 0.0);
+    assembly = build_assembly(opts);
     sol.structure_assemblies = 1;
   } else {
-    if (assembly->inv_dt != 0.0 ||
-        assembly->structural_hash != structural_hash(opts, 0.0))
+    if (assembly->structural_hash != structural_hash(opts))
       throw std::invalid_argument(
           "FvModel::solve_steady: shared assembly does not match this model "
-          "(structural hash or inv_dt differs)");
+          "(structural hash differs)");
     sol.structure_assemblies = 0;
   }
-  Workspace ws = make_workspace(std::move(assembly));
+  Workspace ws;
+  ws.assembly = std::move(assembly);
   Vector rhs(n);
   const std::size_t passes = nonlinear ? opts.max_picard_iterations : 1;
   for (std::size_t it = 0; it < passes; ++it) {
-    update_boundary_terms(ws, temps, nullptr, rhs);
+    update_system(ws, temps, rhs);
     const auto lin = ws.solve(rhs, opts.linear, &temps);
     if (!lin.converged)
       throw std::runtime_error("FvModel::solve_steady: linear solver failed to converge");
@@ -732,78 +720,28 @@ FvSolution FvModel::solve_steady(ExecutionContext& ctx,
   return solve_steady(assembly, opts);
 }
 
+// The undriven overloads are the drive-less special case of the one driven
+// march: the stored environment, frozen for the whole run.
 FvTransientSolution FvModel::solve_transient(double t_end, double dt, double t_initial,
                                              const FvOptions& opts) const {
-  return solve_transient(t_end, dt, Vector(grid_.cell_count(), t_initial), opts);
+  return solve_transient(t_end, dt, Vector(grid_.cell_count(), t_initial), FvDrive{}, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
                                              double t_initial, const FvOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, t_initial, opts);
-}
-
-FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
-                                             const Vector& initial_temperatures,
-                                             const FvOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, initial_temperatures, opts);
+  return solve_transient(ctx, t_end, dt, Vector(grid_.cell_count(), t_initial), FvDrive{}, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt,
                                              const Vector& initial_temperatures,
                                              const FvOptions& opts) const {
-  dt = core::check_march_window("FvModel::solve_transient", t_end, dt);
-  const std::size_t n = grid_.cell_count();
-  core::check_state_size("FvModel::solve_transient", initial_temperatures.size(), n);
-  Vector temps = initial_temperatures;
-  FvTransientSolution out;
-  out.times.push_back(0.0);
-  out.temperatures.push_back(temps);
-  // Structure + capacity assembled once for the whole march (the undriven
-  // fixed-dt march bakes capacity/dt into the assembly); each implicit
-  // Euler step rewrites boundary terms and warm-starts CG from the previous
-  // step's field instead of re-converging from scratch.
-  static thread_local obs::CounterHandle transient_steps{"fv.transient_steps"};
-  static thread_local obs::CounterHandle warmstart_hits{"fv.warmstart_hits"};
-  obs::ScopedTimer span("fv.solve_transient");
-  // Local stepper over the baked-capacity workspace: a member-function-local
-  // class shares the enclosing function's access to FvModel's private
-  // workspace machinery, so the undriven march rides the shared engine loop
-  // without widening the model's API.
-  struct BakedStepper {
-    const FvModel* model;
-    const FvOptions* opts;
-    Workspace ws;
-    Vector rhs;
-    obs::CounterHandle* steps;
-    obs::CounterHandle* warm;
-    std::size_t state_size() const { return rhs.size(); }
-    std::size_t step(Vector& temps, double /*t_next*/, double /*dt*/) {
-      model->update_boundary_terms(ws, temps, &temps, rhs);
-      const auto lin = ws.solve(rhs, opts->linear, &temps);
-      if (!lin.converged)
-        throw std::runtime_error("FvModel::solve_transient: linear solver failed");
-      steps->add();
-      if (lin.iterations == 0) warm->add();
-      temps = lin.x;
-      return lin.iterations;
-    }
-    double error_norm(const Vector& a, const Vector& b) const {
-      double err = 0.0;
-      for (std::size_t c = 0; c < a.size(); ++c) err = std::max(err, std::abs(a[c] - b[c]));
-      return err;
-    }
-  };
-  BakedStepper stepper{this,      &opts, make_workspace(build_assembly(opts, 1.0 / dt)),
-                       Vector(n), &transient_steps, &warmstart_hits};
-  out.structure_assemblies = 1;
-  out.linear_iterations =
-      core::march_fixed(stepper, temps, t_end, dt, [&](double t_next, const Vector& state) {
-        out.times.push_back(t_next);
-        out.temperatures.push_back(state);
-      });
-  return out;
+  return solve_transient(t_end, dt, initial_temperatures, FvDrive{}, opts);
+}
+
+FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
+                                             const Vector& initial_temperatures,
+                                             const FvOptions& opts) const {
+  return solve_transient(ctx, t_end, dt, initial_temperatures, FvDrive{}, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt,

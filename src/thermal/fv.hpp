@@ -8,10 +8,11 @@
 //
 // Grid: tensor-product cells, per-cell anisotropic conductivity, volumetric
 // sources. Face conductances use the harmonic mean of cell conductivities
-// (option: arithmetic, kept for the ablation bench). Steady solves assemble
-// an SPD system solved by preconditioned CG — multigrid-preconditioned where
-// the grid coarsens (every axis >= 8 cells), Jacobi otherwise; transient
-// uses implicit Euler.
+// (option: arithmetic, kept for the ablation bench). One assembly serves
+// every solve: a steady solve and each implicit-Euler step rewrite
+// the same per-solve system over it (the step adding capacity/dt), then run
+// preconditioned CG — multigrid-preconditioned where the grid coarsens
+// (every axis >= 8 cells), Jacobi otherwise.
 //
 // All temperatures are absolute [K].
 #pragma once
@@ -136,15 +137,15 @@ struct FvTransientSolution {
   std::size_t structure_assemblies = 0;    ///< symbolic assemblies (1 with caching)
 };
 
-/// Time-varying environment driver for a transient march. The undriven
-/// solve_transient overloads resolve boundary conditions once, before the
-/// step loop — correct only for environments frozen at t = 0. A drive makes
-/// the environment a function of time: every step re-resolves each boundary
-/// condition through `boundary` and scales the volumetric sources by
-/// `power_scale`, both evaluated at the step's end time (implicit Euler),
-/// without touching the assembled structure. The mission layer
-/// (aeropack::mission) builds drives from mission::Profile; hand-written
-/// drives are equally valid.
+/// Time-varying environment driver for a transient march. Without one (the
+/// undriven solve_transient overloads march with FvDrive{}) the environment
+/// is the model's stored boundary conditions and sources, frozen for the
+/// whole run. A drive makes the environment a function of time: every step
+/// re-resolves each boundary condition through `boundary` and scales the
+/// volumetric sources by `power_scale`, both evaluated at the step's end
+/// time (implicit Euler), without touching the assembled structure. The
+/// mission layer (aeropack::mission) builds drives from mission::Profile;
+/// hand-written drives are equally valid.
 struct FvDrive {
   /// Transform a model boundary condition for mission time `t`. Called for
   /// every boundary cell-face on every step; must be pure (same inputs,
@@ -172,11 +173,13 @@ struct LinearSteadySystem {
 
 /// The immutable structural half of an FV solve: the 7-point stencil of
 /// every temperature-independent internal coefficient (face conductances,
-/// contact interfaces, implicit-Euler capacity) — and nothing that depends
-/// on sources or boundary conditions, which stay on the model and are
-/// applied per solve into a private workspace. Two models that differ only
-/// in loads/boundaries therefore share one FvAssembly, which is what the
-/// scenario-service ArtifactCache exploits across a qualification campaign.
+/// contact interfaces) — and nothing that depends on sources, boundary
+/// conditions or a time step, which stay on the model (or with the caller)
+/// and are applied per solve into a private workspace. There is one kind:
+/// steady solves and transient marches at any step size share it. Two
+/// models that differ only in loads/boundaries therefore share one
+/// FvAssembly, which is what the scenario-service ArtifactCache exploits
+/// across a qualification campaign.
 ///
 /// Shareability contract: all fields are written once by
 /// FvModel::build_assembly and never mutated afterwards; concurrent solves
@@ -185,11 +188,9 @@ struct LinearSteadySystem {
 /// would have built it (gated by tests/svc/test_artifact_reuse.cpp).
 struct FvAssembly {
   /// Conduction operator without boundary films: face conductances off the
-  /// diagonal, their row sums (plus capacity/dt in a transient assembly) on
-  /// it. Solves copy only the diagonal and read the couplings from here.
+  /// diagonal, their row sums on it. Solves copy only the diagonal and read
+  /// the couplings from here.
   numeric::Stencil stencil;
-  numeric::Vector capacity;           ///< rho*cp*V/dt per cell (transient only)
-  double inv_dt = 0.0;                ///< 0 for steady assemblies
   std::uint64_t structural_hash = 0;  ///< FvModel::structural_hash at build time
   /// Multigrid level shapes of the grid (numeric::multigrid_levels), empty
   /// when the grid cannot coarsen and CG runs Jacobi-preconditioned. The
@@ -244,36 +245,34 @@ class FvModel {
   /// bit-identical to the pool-less overload at any thread count.
   FvSolution solve_steady(ExecutionContext& ctx, const FvOptions& opts = {}) const;
 
-  /// Hash of everything a steady/transient assembly depends on: grid
-  /// geometry, per-cell conductivities and capacities, z-interfaces, the
-  /// face-conductance scheme and `inv_dt` — and deliberately NOT sources or
-  /// boundary conditions, which are per-solve inputs. Equal hashes guarantee
+  /// Hash of everything the assembly depends on: grid geometry, per-cell
+  /// conductivities and capacities, z-interfaces and the face-conductance
+  /// scheme — and deliberately NOT sources, boundary conditions or a time
+  /// step, which are per-solve inputs. Equal hashes guarantee
   /// build_assembly would produce bitwise-identical artifacts, so this is
   /// the ArtifactCache key for FV assemblies.
-  std::uint64_t structural_hash(const FvOptions& opts = {}, double inv_dt = 0.0) const;
+  std::uint64_t structural_hash(const FvOptions& opts = {}) const;
 
   /// Assemble the shareable structural artifact once (counts one
-  /// "fv.structure_assemblies"). `inv_dt > 0` bakes in the implicit-Euler
-  /// capacity terms for a transient march with that step.
-  std::shared_ptr<const FvAssembly> build_assembly(const FvOptions& opts = {},
-                                                   double inv_dt = 0.0) const;
+  /// "fv.structure_assemblies").
+  std::shared_ptr<const FvAssembly> build_assembly(const FvOptions& opts = {}) const;
 
-  /// Steady solve on a pre-built (possibly cache-shared) steady assembly:
-  /// skips symbolic assembly entirely (structure_assemblies == 0 in the
-  /// solution) and is bitwise identical to the assembling overload. Throws
+  /// Steady solve on a pre-built (possibly cache-shared) assembly: skips
+  /// symbolic assembly entirely (structure_assemblies == 0 in the solution)
+  /// and is bitwise identical to the assembling overload. Throws
   /// std::invalid_argument when the assembly's structural hash does not
-  /// match this model at `opts` (it was built for different structure) or
-  /// when it is a transient assembly.
+  /// match this model at `opts` (it was built for different structure).
   FvSolution solve_steady(const std::shared_ptr<const FvAssembly>& assembly,
                           const FvOptions& opts = {}) const;
   FvSolution solve_steady(ExecutionContext& ctx,
                           const std::shared_ptr<const FvAssembly>& assembly,
                           const FvOptions& opts = {}) const;
 
-  /// Implicit Euler transient from a uniform initial temperature. `dt` is
-  /// clamped to `t_end` (a march shorter than one step degenerates to a
-  /// single implicit step of size `t_end`); throws on non-positive `dt` or
-  /// `t_end`.
+  /// Implicit Euler transient from a uniform initial temperature in the
+  /// model's stored environment: the driven march below with FvDrive{}.
+  /// `dt` is clamped to `t_end` (a march shorter than one step degenerates
+  /// to a single implicit step of size `t_end`); throws on non-positive `dt`
+  /// or `t_end`.
   FvTransientSolution solve_transient(double t_end, double dt, double t_initial,
                                       const FvOptions& opts = {}) const;
   FvTransientSolution solve_transient(ExecutionContext& ctx, double t_end, double dt,
@@ -290,14 +289,13 @@ class FvModel {
                                       const FvOptions& opts = {}) const;
 
   /// Driver-aware implicit Euler: boundary conditions and source scaling
-  /// are re-resolved through `drive` at every step's end time, fixing the
-  /// frozen-at-t=0 capture of the undriven overloads. Marches on a *steady*
-  /// assembly (inv_dt == 0) — the capacity/dt term joins the diagonal
-  /// during the per-step boundary rewrite — so one cache-shared artifact
-  /// serves every step size and is the same artifact steady solves use. A
-  /// caller-supplied `assembly` must be steady and match
-  /// structural_hash(opts, 0.0) (std::invalid_argument otherwise); null
-  /// assembles internally. Same step semantics as the undriven overloads.
+  /// are re-resolved through `drive` at every step's end time. Marches on
+  /// the one assembly — the capacity/dt term joins the diagonal during
+  /// the per-step system rewrite — so one cache-shared artifact serves
+  /// every step size and is the same artifact steady solves use. A
+  /// caller-supplied `assembly` must match structural_hash(opts)
+  /// (std::invalid_argument otherwise); null assembles internally. Same
+  /// step semantics as the undriven overloads.
   FvTransientSolution solve_transient(double t_end, double dt,
                                       const numeric::Vector& initial_temperatures,
                                       const FvDrive& drive, const FvOptions& opts = {},
@@ -339,16 +337,12 @@ class FvModel {
   const BoundaryCondition& boundary_for(Face f, std::size_t a, std::size_t b) const;
 
   /// Per-solve mutable state layered over an immutable (possibly shared)
-  /// FvAssembly: a private diagonal for the boundary-film rewrite and this
-  /// model's static right-hand side (sources + prescribed fluxes). Boundary
-  /// films only ever touch the diagonal, so the couplings are read from the
-  /// shared assembly. Picard passes and time steps only rewrite the
-  /// temperature-dependent boundary terms; the shared assembly is never
-  /// touched.
+  /// FvAssembly: a private diagonal written by update_system. Boundary films
+  /// and capacity/dt only ever touch the diagonal, so the couplings are read
+  /// from the shared assembly, which is never touched.
   struct Workspace {
     std::shared_ptr<const FvAssembly> assembly;
-    numeric::Vector diag;      ///< assembly diagonal + boundary films (+ capacity/dt)
-    numeric::Vector base_rhs;  ///< sources + prescribed-flux terms [W]
+    numeric::Vector diag;  ///< assembly diagonal + capacity/dt + boundary films
     /// Multigrid preconditioner over assembly->mg_levels, built on first
     /// solve (absent on grids that cannot coarsen).
     std::optional<numeric::Multigrid> mg;
@@ -362,23 +356,17 @@ class FvModel {
     numeric::StencilView op() const { return assembly->stencil.view(diag); }
   };
 
-  Workspace make_workspace(std::shared_ptr<const FvAssembly> assembly) const;
-  /// Volumetric sources + prescribed boundary fluxes of this model [W].
-  numeric::Vector build_base_rhs() const;
-  /// Rewrite boundary film conductances (linearized at `temps`) into the
-  /// workspace diagonal and produce the full right-hand side. `prev` supplies
-  /// the previous time-step field for the transient capacity source term.
-  void update_boundary_terms(Workspace& ws, const numeric::Vector& temps,
-                             const numeric::Vector* prev, numeric::Vector& rhs) const;
-  /// Driven counterpart over a *steady* workspace: copies the base diagonal,
-  /// adds `capacity[c] * inv_dt` to it, rebuilds the right-hand
-  /// side from power-scaled sources + the capacity source term, and applies
-  /// boundary films after passing each condition through `drive` at time
-  /// `t` (null drive = stored conditions, scale 1).
-  void update_driven_terms(Workspace& ws, const numeric::Vector& temps,
-                           const numeric::Vector& prev, const numeric::Vector& capacity,
-                           double inv_dt, double t, const FvDrive* drive,
-                           numeric::Vector& rhs) const;
+  /// The one per-solve rewrite of the workspace system, for a steady pass
+  /// and an implicit-Euler step alike: copies the assembly diagonal, adds
+  /// `(*capacity)[c] * inv_dt` to it, sets the right-hand side to
+  /// power-scaled sources plus the capacity source term on `temps` (the
+  /// previous step's field), and applies prescribed fluxes and boundary
+  /// films linearized at `temps` after passing each condition through
+  /// `drive` at time `t`. A null `capacity` is a steady pass (no capacity
+  /// term); a null drive means stored conditions at scale 1.
+  void update_system(Workspace& ws, const numeric::Vector& temps, numeric::Vector& rhs,
+                     const numeric::Vector* capacity = nullptr, double inv_dt = 0.0,
+                     double t = 0.0, const FvDrive* drive = nullptr) const;
   FvSolution solve_steady_impl(const FvOptions& opts,
                                std::shared_ptr<const FvAssembly> assembly) const;
   double face_conductance_x(std::size_t i0, std::size_t i1, std::size_t j, std::size_t k,
@@ -403,8 +391,8 @@ class FvModel {
   std::array<std::vector<std::optional<BoundaryCondition>>, 6> patch_bc_{};
 };
 
-/// Reusable driven implicit-Euler stepper over a steady (inv_dt == 0,
-/// possibly cache-shared) FvAssembly. This is the FV implementation of the
+/// Reusable driven implicit-Euler stepper over a (possibly cache-shared)
+/// FvAssembly. This is the FV implementation of the
 /// core::TransientSystem concept the unified transient engine
 /// (core/transient_engine.hpp) marches: step() advances an arbitrary field
 /// by an arbitrary dt — the capacity/dt term is applied per call, so the
@@ -416,14 +404,13 @@ class FvModel {
 /// ExecutionContexts.
 ///
 /// The referenced model must outlive the stepper and stay unmodified while
-/// it is in use (the workspace caches the model's source terms).
+/// it is in use (the stepper caches the model's cell capacities).
 class FvTransientStepper {
  public:
-  /// Build over `model`. A null `assembly` assembles the steady structure
-  /// internally (structure_assemblies() == 1); a supplied one must be
-  /// steady and match model.structural_hash(opts, 0.0), else
-  /// std::invalid_argument — the same validation as the cached steady
-  /// solve.
+  /// Build over `model`. A null `assembly` assembles the structure
+  /// internally (structure_assemblies() == 1); a supplied one must match
+  /// model.structural_hash(opts), else std::invalid_argument — the same
+  /// validation as the cached steady solve.
   explicit FvTransientStepper(const FvModel& model, const FvOptions& opts = {},
                               std::shared_ptr<const FvAssembly> assembly = nullptr);
 

@@ -154,6 +154,21 @@ TEST(ScenarioService, IndexParamsMustBeIntegers) {
   EXPECT_NE(results[2].error.find("'n_modes'"), std::string::npos) << results[2].error;
 }
 
+TEST(ScenarioService, NonFiniteLoadFailsBeforeAnySolve) {
+  // NaN passes every `<= 0` check; unguarded it ran CG to its iteration
+  // limit and reported a convergence failure instead of the bad input.
+  ac::ScenarioService service;
+  const auto results =
+      service.run({slab_spec("nan_power", std::numeric_limits<double>::quiet_NaN())});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_NE(results[0].error.find("watts must be finite"), std::string::npos)
+      << results[0].error;
+  EXPECT_NE(results[0].error.find("nan"), std::string::npos) << results[0].error;
+  const auto cg = results[0].counters.find("numeric.cg.iterations");
+  EXPECT_TRUE(cg == results[0].counters.end() || cg->second == 0u);
+}
+
 TEST(ScenarioService, RegisteredGraphRunsAndValidates) {
   ac::ScenarioService service;
   EXPECT_THROW(service.register_graph("", [](const ac::ScenarioSpec&, aeropack::ExecutionContext&) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "exec/context.hpp"
 #include "materials/solid.hpp"
@@ -36,6 +38,9 @@ TEST(FvGrid, InvalidInputsThrow) {
   EXPECT_THROW(at::FvGrid::uniform(0.0, 1.0, 1.0, 2, 2, 2), std::invalid_argument);
   EXPECT_THROW(at::FvGrid::uniform(1.0, 1.0, 1.0, 0, 2, 2), std::invalid_argument);
   EXPECT_THROW(at::FvGrid({1.0, -1.0}, {1.0}, {1.0}), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(at::FvGrid::uniform(nan, 1.0, 1.0, 2, 2, 2), std::invalid_argument);
+  EXPECT_THROW(at::FvGrid({1.0}, {nan}, {1.0}), std::invalid_argument);
 }
 
 TEST(FvModel, OneDFixedTemperatureLinearProfile) {
@@ -127,6 +132,42 @@ TEST(FvModel, TransientAssemblesStructureOnceAndWarmStarts) {
   // dimension bound (64 unknowns) per step would allow from a cold start.
   EXPECT_GT(tr.linear_iterations, 0u);
   EXPECT_LT(tr.linear_iterations, 20u * 64u);
+}
+
+TEST(FvModel, NonFiniteInputsThrowNamingTheValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto m = slab_model(4, 10.0);
+  try {
+    m.add_power(m.all_cells(), nan);
+    FAIL() << "add_power accepted NaN";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("watts must be finite, got nan"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(m.add_power(m.all_cells(), inf), std::invalid_argument);
+  EXPECT_THROW(m.set_conductivity(m.all_cells(), 1.0, nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(m.set_conductivity(m.all_cells(), inf, 1.0, 1.0), std::invalid_argument);
+  am::SolidMaterial bad = am::aluminum_6061();
+  bad.conductivity = nan;
+  EXPECT_THROW(m.set_material(bad), std::invalid_argument);
+  EXPECT_THROW(m.add_power_density([&](double x, double, double) { return x > 0.5 ? nan : 1.0; }),
+               std::invalid_argument);
+  at::FvModel stack(at::FvGrid::uniform(0.05, 0.05, 0.004, 2, 2, 2));
+  EXPECT_THROW(stack.add_interface_z(0, nan), std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::fixed(nan), std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::convection(nan, 300.0), std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::convection(10.0, inf), std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::convection_radiation(10.0, 300.0, nan),
+               std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::natural(at::SurfaceOrientation::Vertical, nan, 300.0),
+               std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::natural(at::SurfaceOrientation::Vertical, 0.1, 300.0, nan),
+               std::invalid_argument);
+  EXPECT_THROW(at::BoundaryCondition::heat_flux(nan), std::invalid_argument);
+  // The rejected calls left the model untouched: it still solves.
+  m.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(300.0));
+  EXPECT_TRUE(m.solve_steady().converged);
 }
 
 TEST(FvModel, NoSinkThrows) {
