@@ -4,7 +4,9 @@
 // kernels the Picard/transient loops sit on: SpMV on the 7-point stencil
 // and on its CSR form, Jacobi- and multigrid-preconditioned CG, the one-time
 // structure assembly vs the per-pass boundary rewrite (self times of their
-// spans), and the full steady FV solve. Full runs emit
+// spans), and the full steady FV solve. Full runs also time the two mission
+// grids (15x12x4 SEB box, 16x10x2 board; too thin to coarsen, so Jacobi CG)
+// at 1 thread: stencil SpMV and Jacobi-CG time per iteration. Full runs emit
 // BENCH_sparse_kernels.json (machine-readable, with its provenance) so later
 // PRs can track the perf trajectory, plus the usual table on stdout.
 //
@@ -141,6 +143,59 @@ SpanTotals span_totals(const std::string& name) {
   return out;
 }
 
+/// Unit 7-point couplings with a film-like 1e-3 diagonal shift (SPD). The
+/// neighbours are added to the diagonal one at a time: the gated CG
+/// iteration counts (bench/expected/) depend on these exact bits.
+an::Stencil film_poisson(an::GridShape s) {
+  an::Stencil st(s);
+  for (std::size_t k = 0; k < s.nz; ++k)
+    for (std::size_t j = 0; j < s.ny; ++j)
+      for (std::size_t i = 0; i < s.nx; ++i) {
+        const std::size_t c = i + s.nx * (j + s.ny * k);
+        if (i + 1 < s.nx) st.wx[c] = -1.0;
+        if (j + 1 < s.ny) st.wy[c] = -1.0;
+        if (k + 1 < s.nz) st.wz[c] = -1.0;
+        const std::size_t neighbours = (i > 0) + (i + 1 < s.nx) + (j > 0) + (j + 1 < s.ny) +
+                                       (k > 0) + (k + 1 < s.nz);
+        double diag = 1e-3;
+        for (std::size_t q = 0; q < neighbours; ++q) diag += 1.0;
+        st.diag[c] = diag;
+      }
+  return st;
+}
+
+/// One mission grid at 1 thread.
+struct MissionShape {
+  an::GridShape shape;
+  double stencil_spmv_us = 0.0;
+  double csr_spmv_us = 0.0;
+  std::size_t cg_iterations = 0;
+  double cg_us_per_iteration = 0.0;  ///< stencil Jacobi CG, the mission march's solver
+};
+
+/// A 1-3 us kernel is timed in batches of `batch` calls, median of 9.
+MissionShape time_mission_shape(an::GridShape s) {
+  constexpr int kBatch = 200, kReps = 9;
+  const an::Stencil st = film_poisson(s);
+  const an::CsrMatrix a = st.view().to_csr();
+  const an::Vector x(s.cells(), 1.0);
+  an::Vector y;
+  MissionShape m;
+  m.shape = s;
+  m.stencil_spmv_us = 1e3 / kBatch * time_ms(kReps, [&] {
+                        for (int b = 0; b < kBatch; ++b) st.view().multiply(x, y);
+                      });
+  m.csr_spmv_us = 1e3 / kBatch * time_ms(kReps, [&] {
+                    for (int b = 0; b < kBatch; ++b) a.multiply(an::current_pool(), x, y);
+                  });
+  an::IterativeResult cg;
+  const double cg_ms = time_ms(kReps, [&] { cg = an::conjugate_gradient(st.view(), x); });
+  m.cg_iterations = cg.iterations;
+  m.cg_us_per_iteration = cg.iterations > 0 ? 1e3 * cg_ms / static_cast<double>(cg.iterations)
+                                            : 0.0;
+  return m;
+}
+
 /// Rebuild-from-triplets cost the old Picard loop paid on every pass.
 double legacy_assembly_ms(const an::CsrMatrix& pattern, int reps) {
   return time_ms(reps, [&] {
@@ -172,7 +227,8 @@ std::string provenance_json(std::size_t hardware) {
 void write_json(const std::string& path, std::size_t hardware,
                 const std::vector<std::size_t>& thread_counts,
                 const std::vector<double>& dispatch_ns,
-                const std::vector<GridResult>& grids) {
+                const std::vector<GridResult>& grids,
+                const std::vector<MissionShape>& mission) {
   std::ofstream out(path);
   if (!out) {
     std::printf("  (could not write %s)\n", path.c_str());
@@ -210,6 +266,16 @@ void write_json(const std::string& path, std::size_t hardware,
           << (t + 1 < r.timings.size() ? ",\n" : "\n");
     }
     out << "      ]\n    }" << (g + 1 < grids.size() ? ",\n" : "\n");
+  }
+  out << "  ],\n  \"mission_shapes\": [\n";
+  for (std::size_t m = 0; m < mission.size(); ++m) {
+    const MissionShape& ms = mission[m];
+    out << "    {\"nx\": " << ms.shape.nx << ", \"ny\": " << ms.shape.ny
+        << ", \"nz\": " << ms.shape.nz << ", \"cells\": " << ms.shape.cells()
+        << ", \"threads\": 1, \"stencil_spmv_us\": " << ms.stencil_spmv_us
+        << ", \"csr_spmv_us\": " << ms.csr_spmv_us << ", \"cg_iterations\": " << ms.cg_iterations
+        << ", \"cg_us_per_iteration\": " << ms.cg_us_per_iteration << "}"
+        << (m + 1 < mission.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
   std::printf("  series written to %s\n", path.c_str());
@@ -294,23 +360,7 @@ int main(int argc, char** argv) try {
     // 7-point operator equivalent to the FV system for kernel micro-benches:
     // multigrid CG needs the stencil, the CSR columns take its to_csr().
     {
-      an::Stencil st({n, n, n});
-      for (std::size_t k = 0; k < n; ++k)
-        for (std::size_t j = 0; j < n; ++j)
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t c = i + n * (j + n * k);
-            if (i + 1 < n) st.wx[c] = -1.0;
-            if (j + 1 < n) st.wy[c] = -1.0;
-            if (k + 1 < n) st.wz[c] = -1.0;
-            const std::size_t neighbours = (i > 0) + (i + 1 < n) + (j > 0) + (j + 1 < n) +
-                                           (k > 0) + (k + 1 < n);
-            // A film-like shift keeps it SPD. Neighbours are added one at a
-            // time: the gated CG iteration counts (bench/expected/) depend
-            // on these exact bits.
-            double diag = 1e-3;
-            for (std::size_t q = 0; q < neighbours; ++q) diag += 1.0;
-            st.diag[c] = diag;
-          }
+      const an::Stencil st = film_poisson({n, n, n});
       const an::CsrMatrix a = st.view().to_csr();
       res.nonzeros = a.nonzeros();
       res.triplet_assembly_ms = legacy_assembly_ms(a, reps);
@@ -375,6 +425,16 @@ int main(int argc, char** argv) try {
                 n, res.cells, res.nonzeros, res.triplet_assembly_ms, res.structure_build_ms,
                 res.boundary_update_ms);
   }
+  std::vector<MissionShape> mission;
+  if (!smoke && !scaling) {
+    // Timing probes only, like the stencil column: telemetry is paused.
+    const bool armed = obs::enabled();
+    obs::disable();
+    an::set_thread_count(1);
+    for (const an::GridShape s : {an::GridShape{15, 12, 4}, an::GridShape{16, 10, 2}})
+      mission.push_back(time_mission_shape(s));
+    if (armed) obs::enable();
+  }
   an::set_thread_count(0);
 
   std::printf("\n  %-8s | %-8s | %-10s | %-10s | %-10s | %-12s | %-10s\n", "grid", "threads",
@@ -404,11 +464,17 @@ int main(int argc, char** argv) try {
                 r.n, tt.cg_iterations, tt.mg_cg_iterations, tt.cg_ms, tt.mg_cg_ms);
   }
 
+  for (const MissionShape& m : mission)
+    std::printf("  mission grid %zux%zux%zu (1 thread): stencil spmv %.3f us (csr %.3f us), "
+                "Jacobi CG %zu iterations at %.3f us/iteration\n",
+                m.shape.nx, m.shape.ny, m.shape.nz, m.stencil_spmv_us, m.csr_spmv_us,
+                m.cg_iterations, m.cg_us_per_iteration);
+
   if (smoke)
     std::printf("  smoke mode: no BENCH_* file written\n");
   else
     write_json(scaling ? "BENCH_sparse_scaling.json" : "BENCH_sparse_kernels.json", hardware,
-               thread_counts, dispatch_ns, results);
+               thread_counts, dispatch_ns, results, mission);
 
   if (!report_path.empty()) {
     obs::Report report = obs::Report::capture("bench_sparse_kernels", an::thread_count());

@@ -18,43 +18,6 @@ constexpr std::size_t kMaxCoarsestCells = 512;
 
 std::size_t halve(std::size_t n) { return (n + 1) / 2; }
 
-/// A stencil's arrays and strides as plain values. Kernels build one inside
-/// each parallel chunk, so the compiler keeps them in registers; reading
-/// them through the captured view made a fine-level V-cycle ~25% slower.
-/// Row sums run in the CSR column order of a 7-point row (-z, -y, -x, +x,
-/// +y, +z), the order StencilView::multiply uses.
-struct Rows {
-  const double *d, *ex, *ey, *ez;
-  std::size_t nx, ny, nz, sxy;
-
-  explicit Rows(const StencilView& op)
-      : d(op.diag), ex(op.wx), ey(op.wy), ez(op.wz), nx(op.shape.nx), ny(op.shape.ny),
-        nz(op.shape.nz), sxy(op.shape.nx * op.shape.ny) {}
-
-  /// Sum over the off-diagonal entries of row c times x.
-  double off(std::size_t c, std::size_t i, std::size_t j, std::size_t k, const double* x) const {
-    double acc = 0.0;
-    if (k > 0) acc += ez[c - sxy] * x[c - sxy];
-    if (j > 0) acc += ey[c - nx] * x[c - nx];
-    if (i > 0) acc += ex[c - 1] * x[c - 1];
-    if (i + 1 < nx) acc += ex[c] * x[c + 1];
-    if (j + 1 < ny) acc += ey[c] * x[c + nx];
-    if (k + 1 < nz) acc += ez[c] * x[c + sxy];
-    return acc;
-  }
-
-  /// off() for a cell with all six neighbours (same sum order).
-  double interior_off(std::size_t c, const double* x) const {
-    return ez[c - sxy] * x[c - sxy] + ey[c - nx] * x[c - nx] + ex[c - 1] * x[c - 1] +
-           ex[c] * x[c + 1] + ey[c] * x[c + nx] + ez[c] * x[c + sxy];
-  }
-};
-
-/// True when cell (i, j, k) has all six neighbours.
-bool interior(const GridShape& s, std::size_t i, std::size_t j, std::size_t k) {
-  return i > 0 && j > 0 && k > 0 && i + 1 < s.nx && j + 1 < s.ny && k + 1 < s.nz;
-}
-
 /// Work estimate for a pass over `cells` 7-point rows.
 grain::Work row_work(std::size_t cells) {
   return grain::Work::elements(7 * cells, grain::Cost::kSpmv);
@@ -79,53 +42,34 @@ void smooth_colour(ThreadPool& pool, const StencilView& op, const double* b, dou
   parallel_for(
       pool, 0, op.shape.nz,
       [&](std::size_t klo, std::size_t khi) {
-        const Rows a(op);
-        for (std::size_t k = klo; k < khi; ++k)
-          for (std::size_t j = 0; j < a.ny; ++j) {
-            const std::size_t row = a.nx * (j + a.ny * k);
-            const auto edge = [&](std::size_t i) {
-              const std::size_t c = row + i;
-              x[c] = (b[c] - a.off(c, i, j, k, x)) / a.d[c];
-            };
-            std::size_t i = (colour + j + k) & 1;
-            if (j == 0 || k == 0 || j + 1 == a.ny || k + 1 == a.nz) {
-              for (; i < a.nx; i += 2) edge(i);
-              continue;
-            }
-            // Interior row: only its two end cells miss a neighbour.
-            if (i == 0) {
-              edge(0);
-              i = 2;
-            }
-            const std::size_t last = row + a.nx - 1;
-            std::size_t c = row + i;
-            for (; c < last; c += 2) x[c] = (b[c] - a.interior_off(c, x)) / a.d[c];
-            if (c == last) edge(a.nx - 1);
-          }
+        const StencilRows a(op);
+        for_each_cell<2>(
+            op.shape, klo, khi,
+            [&](auto nb, CellAt at) {
+              x[at.c] = (b[at.c] - a.off<decltype(nb)>(at.c, x)) / a.d[at.c];
+            },
+            colour);
       },
       row_work(op.shape.cells() / 2));
 }
 
-/// bc[I] = sum over the children c of I of (b - A x)[c].
+/// bc[I] = sum over the children c of I of (b - A x)[c]. Each chunk of
+/// coarse planes walks its fine rows in index order and adds every child's
+/// residual to its parent, so each parent sums its children from 0.0 in
+/// the fixed order k, j, i ascending.
 void restrict_residual(ThreadPool& pool, const StencilView& op, const double* b,
                        const double* x, const GridShape& cs, double* bc) {
   const GridShape& f = op.shape;
   parallel_for(
       pool, 0, cs.nz,
       [&](std::size_t klo, std::size_t khi) {
-        const Rows a(op);
-        for (std::size_t ck = klo; ck < khi; ++ck)
-          for (std::size_t cj = 0; cj < cs.ny; ++cj)
-            for (std::size_t ci = 0; ci < cs.nx; ++ci) {
-              double sum = 0.0;
-              for_children(f, ci, cj, ck,
-                           [&](std::size_t i, std::size_t j, std::size_t k, std::size_t c) {
-                             const double off = interior(f, i, j, k) ? a.interior_off(c, x)
-                                                                     : a.off(c, i, j, k, x);
-                             sum += b[c] - (off + a.d[c] * x[c]);
-                           });
-              bc[ci + cs.nx * (cj + cs.ny * ck)] = sum;
-            }
+        const StencilRows a(op);
+        const std::size_t csxy = cs.nx * cs.ny;
+        std::fill(bc + csxy * klo, bc + csxy * khi, 0.0);
+        for_each_cell(f, 2 * klo, std::min(2 * khi, f.nz), [&](auto nb, CellAt at) {
+          bc[at.i / 2 + cs.nx * (at.j / 2 + cs.ny * (at.k / 2))] +=
+              b[at.c] - (a.off<decltype(nb)>(at.c, x) + a.d[at.c] * x[at.c]);
+        });
       },
       row_work(f.cells()));
 }

@@ -29,10 +29,15 @@
 // The post-smoother is the adjoint of the pre-smoother, so the cycle is a
 // symmetric preconditioner fit for CG.
 //
-// Determinism: a red (black) sweep reads only black (red) cells, restriction
-// and prolongation are gathers with a fixed child order, and the coarsest
-// solve is serial — every value is independent of the thread partition, so
-// results are bit-identical across thread counts and pools.
+// Kernels: the smoother and the restriction sweep the level row by row
+// through the row-class walker of numeric/stencil.hpp, so their row sums
+// keep one fixed order and expression form per cell class.
+//
+// Determinism: a red (black) sweep reads only black (red) cells, the
+// restriction sums each aggregate's children in the fixed order k, j, i
+// within the chunk that owns the aggregate, prolongation is a gather, and
+// the coarsest solve is serial — every value is independent of the thread
+// partition, so results are bit-identical across thread counts and pools.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +64,9 @@ std::vector<GridShape> multigrid_levels(std::size_t nx, std::size_t ny, std::siz
 /// Mutable scratch — one instance per concurrent solve.
 class Multigrid {
  public:
-  /// `levels` must come from multigrid_levels() and be non-empty.
+  /// `levels` must hold at least two shapes, each the halving of the one
+  /// above (std::invalid_argument otherwise); multigrid_levels() builds
+  /// such a chain.
   explicit Multigrid(std::vector<GridShape> levels);
 
   /// Number of levels including the fine one (>= 2).

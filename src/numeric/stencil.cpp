@@ -26,47 +26,12 @@ void StencilView::multiply(ThreadPool& pool, const Vector& x, Vector& y) const {
   parallel_for(
       pool, 0, shape.nz,
       [&](std::size_t klo, std::size_t khi) {
-        // Locals, not captures, so the compiler keeps them in registers.
-        const std::size_t nx = shape.nx, ny = shape.ny, nz = shape.nz, sxy = nx * ny;
-        const double *d = diag, *ex = wx, *ey = wy, *ez = wz;
+        const StencilRows a(*this);
         const double* __restrict xs = x.data();
         double* __restrict ys = y.data();
-        // Every row sums from 0.0 in CSR column order; the bounds tests keep
-        // the missing neighbours out of the sum, exactly as CSR never stores
-        // them.
-        const auto edge = [&](std::size_t c, std::size_t i, std::size_t j, std::size_t k) {
-          double acc = 0.0;
-          if (k > 0) acc += ez[c - sxy] * xs[c - sxy];
-          if (j > 0) acc += ey[c - nx] * xs[c - nx];
-          if (i > 0) acc += ex[c - 1] * xs[c - 1];
-          acc += d[c] * xs[c];
-          if (i + 1 < nx) acc += ex[c] * xs[c + 1];
-          if (j + 1 < ny) acc += ey[c] * xs[c + nx];
-          if (k + 1 < nz) acc += ez[c] * xs[c + sxy];
-          ys[c] = acc;
-        };
-        for (std::size_t k = klo; k < khi; ++k)
-          for (std::size_t j = 0; j < ny; ++j) {
-            const std::size_t row = nx * (j + ny * k);
-            if (j == 0 || k == 0 || j + 1 == ny || k + 1 == nz || nx < 3) {
-              for (std::size_t i = 0; i < nx; ++i) edge(row + i, i, j, k);
-              continue;
-            }
-            // Interior row: only its two end cells miss a neighbour.
-            edge(row, 0, j, k);
-            for (std::size_t c = row + 1; c + 1 < row + nx; ++c) {
-              double acc = 0.0;
-              acc += ez[c - sxy] * xs[c - sxy];
-              acc += ey[c - nx] * xs[c - nx];
-              acc += ex[c - 1] * xs[c - 1];
-              acc += d[c] * xs[c];
-              acc += ex[c] * xs[c + 1];
-              acc += ey[c] * xs[c + nx];
-              acc += ez[c] * xs[c + sxy];
-              ys[c] = acc;
-            }
-            edge(row + nx - 1, nx - 1, j, k);
-          }
+        for_each_cell(shape, klo, khi, [&](auto nb, CellAt at) {
+          ys[at.c] = a.row<decltype(nb)>(at.c, xs);
+        });
       },
       grain::Work::elements(7 * n, grain::Cost::kSpmv));
 }

@@ -8,8 +8,9 @@
 //     the latency a kernel must amortize before fanning out.
 //  2. Per-element cost of each grain::Cost class, measured serially on
 //     resident data (median of repeated sweeps): stream (axpy), dot
-//     (chunked reduction), SpMV per nonzero (7-point Poisson), FV cell fill
-//     proxy, fused CG update.
+//     (chunked reduction), SpMV per nonzero (7-point Poisson), the same
+//     operator's stencil multiply per 7-point row slot (the unit its grain
+//     estimate counts: 7 per cell), FV cell fill proxy, fused CG update.
 //  3. kMinWorkToFanOut = dispatch round-trip at 2 threads expressed in
 //     stream elements, times a 4x margin (fan out only when the win is
 //     clear); kMinWorkPerThread = half of it. Both rounded up to a power of
@@ -27,6 +28,7 @@
 
 #include "numeric/parallel.hpp"
 #include "numeric/sparse.hpp"
+#include "numeric/stencil.hpp"
 
 namespace an = aeropack::numeric;
 using Clock = std::chrono::steady_clock;
@@ -55,24 +57,17 @@ double time_median_ns(int reps, Fn&& fn) {
 
 volatile double g_sink = 0.0;  // defeat dead-code elimination
 
-an::CsrMatrix poisson3d(std::size_t n) {
-  an::SparseBuilder b(n * n * n, n * n * n);
-  const auto id = [n](std::size_t i, std::size_t j, std::size_t k) {
-    return i + n * (j + n * k);
-  };
-  for (std::size_t k = 0; k < n; ++k)
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t c = id(i, j, k);
-        b.add(c, c, 6.0);
-        if (i > 0) b.add(c, id(i - 1, j, k), -1.0);
-        if (i + 1 < n) b.add(c, id(i + 1, j, k), -1.0);
-        if (j > 0) b.add(c, id(i, j - 1, k), -1.0);
-        if (j + 1 < n) b.add(c, id(i, j + 1, k), -1.0);
-        if (k > 0) b.add(c, id(i, j, k - 1), -1.0);
-        if (k + 1 < n) b.add(c, id(i, j, k + 1), -1.0);
-      }
-  return b.build();
+/// 7-point Poisson operator on an n^3 grid (diagonal 6, couplings -1).
+an::Stencil poisson_stencil(std::size_t n) {
+  an::Stencil st({n, n, n});
+  for (std::size_t c = 0; c < st.shape.cells(); ++c) {
+    const std::size_t i = c % n, j = (c / n) % n, k = c / (n * n);
+    st.diag[c] = 6.0;
+    if (i + 1 < n) st.wx[c] = -1.0;
+    if (j + 1 < n) st.wy[c] = -1.0;
+    if (k + 1 < n) st.wz[c] = -1.0;
+  }
+  return st;
 }
 
 std::size_t round_up_pow2(double v) {
@@ -128,12 +123,18 @@ int main(int argc, char** argv) {
       }) /
       static_cast<double>(n_vec);
 
-  const an::CsrMatrix a = poisson3d(32);
+  const an::Stencil st = poisson_stencil(32);
+  const an::CsrMatrix a = st.view().to_csr();
   an::Vector v(a.cols(), 1.0), av;
   const double spmv_ns = time_median_ns(kReps, [&] {
                            a.multiply(serial, v, av);
                          }) /
                          static_cast<double>(a.nonzeros());
+  an::Vector sv;
+  const double stencil_ns = time_median_ns(kReps, [&] {
+                              st.view().multiply(serial, v, sv);
+                            }) /
+                            (7.0 * static_cast<double>(st.shape.cells()));
   // FV cell proxy: the 7-point conductance fill is ~6x a stream element on
   // the machines measured so far; derive it from the SpMV row cost (7 nnz
   // per interior row plus indexing) rather than linking the thermal layer.
@@ -141,8 +142,9 @@ int main(int argc, char** argv) {
 
   std::printf("#\n# per-element costs (serial, resident):\n");
   std::printf("#   stream  %.3f ns\n#   dot     %.3f ns\n", stream_ns, dot_ns);
-  std::printf("#   spmv    %.3f ns/nnz\n#   cell    %.3f ns (proxy)\n",
-              spmv_ns, cell_ns);
+  std::printf("#   spmv    %.3f ns/nnz\n#   stencil %.3f ns/row slot\n",
+              spmv_ns, stencil_ns);
+  std::printf("#   cell    %.3f ns (proxy)\n", cell_ns);
   std::printf("#   fusedcg %.3f ns\n", fused_ns);
 
   const double fan_out_elems = 4.0 * dispatch2_ns / stream_ns;
@@ -153,8 +155,8 @@ int main(int argc, char** argv) {
   std::printf("inline constexpr double kMinWorkPerThread = %zu.0;\n",
               min_fan_out / 2);
   std::printf("# cost_weight suggestions (stream = 1.0):\n");
-  std::printf("#   kDot %.1f  kSpmv %.1f  kCell %.1f  kFusedCg %.1f\n",
-              dot_ns / stream_ns, spmv_ns / stream_ns, cell_ns / stream_ns,
-              fused_ns / stream_ns);
+  std::printf("#   kDot %.1f  kSpmv %.1f  stencil %.1f  kCell %.1f  kFusedCg %.1f\n",
+              dot_ns / stream_ns, spmv_ns / stream_ns, stencil_ns / stream_ns,
+              cell_ns / stream_ns, fused_ns / stream_ns);
   return 0;
 }
